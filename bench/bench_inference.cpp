@@ -214,8 +214,7 @@ LadderPoint run_ladder_point(const serve::SessionEnv& env,
 
 serve::ServerConfig serving_config(bool ladder_on) {
   serve::ServerConfig cfg;
-  cfg.shards = 4;
-  cfg.wheel = true;
+  cfg.batcher.max_batch = 64;
   cfg.feature_bank_cache = true;
   cfg.ladder.enabled = ladder_on;
   if (ladder_on) {

@@ -1,9 +1,10 @@
 // Session-server capacity sweep: how many concurrent end-to-end
 // sessions (affect stream -> adaptive decode -> app manager) one
 // process sustains in real time, what cross-session batching buys over
-// per-session inference, what the sharded event-driven serve layer
-// (timer wheel + feature-bank cache) buys over the global tick, and how
-// many mostly-idle duty-cycled sessions the wheel carries.  Dumps
+// per-session inference, what the serving configuration (64-row
+// batcher + feature-bank cache) buys over live extraction with the
+// default batcher, and how many mostly-idle duty-cycled sessions the
+// timer wheel carries.  Dumps
 // BENCH_serve.json; tools/run_verify.sh `serve` mode regresses
 // sustained_sessions and sustained_idle_sessions against the committed
 // copy.
@@ -24,9 +25,9 @@
 // pending windows through a batched and an unbatched InferenceBatcher)
 // and verifies the two produce bit-identical probabilities before
 // trusting the throughput numbers; the bench fails hard if batching at
-// 8 rows is not a win, or if the sharded+cached configuration is not
-// >= 1.5x the global-tick baseline at 32 active sessions, since those
-// are the whole point of the serve layer.
+// 8 rows is not a win, or if the serving configuration is not >= 1.5x
+// the baseline at 32 active sessions, since those are the whole point
+// of the serve layer.
 //
 // Usage: bench_serve [output.json]   (default: BENCH_serve.json)
 #include <algorithm>
@@ -141,21 +142,18 @@ SweepPoint run_sweep_point(const serve::SessionEnv& env,
   return pt;
 }
 
-/// The sharded event-driven serving configuration the sweep measures.
+/// The serving configuration the sweep measures: a 64-row batcher and
+/// the feature-bank cache.
 serve::ServerConfig serving_config() {
   serve::ServerConfig cfg;
-  cfg.shards = 4;
-  cfg.wheel = true;
+  cfg.batcher.max_batch = 64;
   cfg.feature_bank_cache = true;
   return cfg;
 }
 
-/// The pre-shard global tick: one batcher, every session every tick,
-/// live feature extraction.
+/// The baseline tick: live feature extraction, default batcher.
 serve::ServerConfig baseline_config() {
   serve::ServerConfig cfg;
-  cfg.shards = 1;
-  cfg.wheel = false;
   cfg.feature_bank_cache = false;
   return cfg;
 }
@@ -324,7 +322,7 @@ int main(int argc, char** argv) {
   env.app_table = &table;
   env.catalog = &catalog;
 
-  // ---- active sweep: always-on sessions, sharded+cached serving.
+  // ---- active sweep: always-on sessions, serving configuration.
   const std::vector<std::size_t> counts = {1, 2, 4, 8, 16, 32, 64};
   std::vector<SweepPoint> sweep;
   std::size_t sustained = 0;
@@ -341,7 +339,7 @@ int main(int argc, char** argv) {
     sweep.push_back(pt);
   }
 
-  // ---- sharded+cached vs global-tick baseline at 32 active sessions.
+  // ---- serving configuration vs baseline at 32 active sessions.
   const SweepPoint base32 =
       run_sweep_point(env, baseline_config(), 32, /*admit_per_tick=*/1,
                       /*warmup_ticks=*/40, /*timed_ticks=*/60);
@@ -351,7 +349,7 @@ int main(int argc, char** argv) {
       base32.windows_per_sec > 0.0
           ? opt32.windows_per_sec / base32.windows_per_sec
           : 0.0;
-  std::printf("active32 speedup vs global tick: %.2fx\n", active32_speedup);
+  std::printf("active32 speedup vs baseline: %.2fx\n", active32_speedup);
 
   // ---- idle sweep: mostly-idle duty-cycled fleet on the wheel.
   std::vector<SweepPoint> idle;
@@ -439,7 +437,7 @@ int main(int argc, char** argv) {
   }
   if (active32_speedup < 1.5) {
     std::fprintf(stderr,
-                 "FAIL: sharded+cached serving is %.2fx the global-tick "
+                 "FAIL: the serving configuration is %.2fx the "
                  "baseline at 32 sessions (need >= 1.5x)\n",
                  active32_speedup);
     return 1;

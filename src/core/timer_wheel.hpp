@@ -19,9 +19,10 @@
 //
 // Determinism contract: collect() returns the due keys sorted
 // ascending, regardless of scheduling order or cascade history — the
-// server's replay identity across shard counts depends on it.  Slot
-// vectors keep their capacity across fires, so a steady-state
-// schedule/fire cycle performs no heap allocation.
+// server relies on it to restart quarantined sessions before it reads
+// the same tick's wake-ups.  Slot vectors keep their capacity across
+// fires, so a steady-state schedule/fire cycle performs no heap
+// allocation.
 //
 // Not thread-safe: the wheel belongs to the (serial) scheduling stage.
 #pragma once

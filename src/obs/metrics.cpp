@@ -55,9 +55,12 @@ std::string scoped_metric_name(std::string_view scope, std::string_view name) {
   return out;
 }
 
+// Never destroyed: pool workers (and other static objects) may still
+// record metrics while statics are torn down at exit, after a
+// function-local registry would already be gone.
 Registry& Registry::global() {
-  static Registry r;
-  return r;
+  static Registry* const r = new Registry;
+  return *r;
 }
 
 Counter& Registry::counter(std::string_view name) {

@@ -98,7 +98,8 @@ std::span<const double> default_latency_bounds_ns();
 
 /// Named metrics, registered on first use and kept for the registry's
 /// lifetime.  `global()` is the process-wide instance every AFFECTSYS_*
-/// macro records into; independent registries can be created for tests.
+/// macro records into, and is never destroyed; independent registries
+/// can be created for tests.
 class Registry {
  public:
   static Registry& global();

@@ -32,7 +32,7 @@ InferenceBatcher::InferenceBatcher(affect::AffectClassifier& classifier,
   }
   pending_.reserve(cfg_.max_batch * 2);
 
-  const obs::MetricScope scope(cfg_.obs_scope);
+  const obs::MetricScope scope;
   c_flushes_ = &scope.counter("serve.batch.flushes");
   c_inferences_ = &scope.counter("affect.inferences");
   c_forced_fallbacks_ = &scope.counter("serve.batch.forced_fallbacks");
@@ -69,7 +69,7 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
   if (n == 0) return 0;
 
   // Rung-homogeneous batches: serve the longest FIFO prefix on the head
-  // window's rung.  Mixed queues flush in segments across ticks, but
+  // window's rung.  Mixed queues flush in segments, but
   // global FIFO order is never reordered — so the result stream (and
   // every per-session seq order) is exactly the unsegmented stream, and
   // an all-fp32 queue (ladder off) takes this loop without effect.

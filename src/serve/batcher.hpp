@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "affect/classifier.hpp"
@@ -96,11 +95,6 @@ struct BatcherConfig {
   /// False runs every window through an individual forward (the
   /// per-session baseline the bench compares against).
   bool batched = true;
-  /// Metric namespace for this batcher's counters/histograms.  Empty
-  /// resolves the legacy un-prefixed names ("serve.batch.flushes", ...);
-  /// the sharded server sets "serve.shard<k>" so per-shard batchers
-  /// publish distinct series.
-  std::string obs_scope;
 };
 
 struct BatcherStats {

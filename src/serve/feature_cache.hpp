@@ -18,7 +18,7 @@
 // and recomputed windows are byte-identical by construction.
 //
 // The cache is immutable after construction and therefore shared
-// read-only across all sessions and shards.
+// read-only across all sessions.
 #pragma once
 
 #include <array>

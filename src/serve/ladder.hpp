@@ -14,7 +14,7 @@
 // own emotion stability: only sessions whose recent classifications are
 // confident and calm ride the cheap rungs, so precision is spent where
 // the emotion signal is actually uncertain.  Rung choices are stamped
-// onto staged windows and honoured by the shard batchers, which keep
+// onto staged windows and honoured by the server's batcher, which keeps
 // batches rung-homogeneous (FIFO prefix) so every batch is still
 // bit-identical to its rung's single-window execution.
 //
@@ -53,7 +53,7 @@ struct LadderConfig {
   /// ladder code path a no-op (byte-identical to the pre-ladder server).
   bool enabled = false;
   /// Backlog watermarks for the global pressure level (windows pending
-  /// across shard batchers, same quantity the degrade ladder reads).
+  /// at the batcher, same quantity the degrade ladder reads).
   /// Crossing `hi` raises pressure one rung per tick; falling to `lo`
   /// lowers it — the gap is the anti-flap hysteresis band.
   std::size_t backlog_hi = 32;
@@ -78,7 +78,7 @@ struct LadderConfig {
   unsigned truncate_bits = 0;
 };
 
-/// Non-owning handles to the cheap-rung models, shared by every shard
+/// Non-owning handles to the cheap-rung models, handed to the server's
 /// batcher.  A null model keeps its rung unreachable (the server caps
 /// max_rung accordingly).
 struct LadderRuntime {

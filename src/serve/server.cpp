@@ -18,9 +18,6 @@ SessionManager::SessionManager(const ServerConfig& cfg, const SessionEnv& env)
     throw std::invalid_argument(
         "SessionManager: backlog_lo must not exceed backlog_hi");
   }
-  if (cfg_.shards == 0) {
-    throw std::invalid_argument("SessionManager: shards must be >= 1");
-  }
   if (env_.workload == nullptr || env_.classifier == nullptr) {
     throw std::invalid_argument(
         "SessionManager: workload and classifier required");
@@ -44,15 +41,8 @@ SessionManager::SessionManager(const ServerConfig& cfg, const SessionEnv& env)
     }
   }
 
-  shards_.resize(cfg_.shards);
-  for (std::size_t k = 0; k < cfg_.shards; ++k) {
-    BatcherConfig bc = cfg_.batcher;
-    // One shard keeps the legacy un-prefixed metric names; K shards
-    // publish distinct per-shard series.
-    if (cfg_.shards > 1) bc.obs_scope = "serve.shard" + std::to_string(k);
-    shards_[k].batcher =
-        std::make_unique<InferenceBatcher>(*env_.classifier, bc, ladder_rt_);
-  }
+  batcher_ = std::make_unique<InferenceBatcher>(*env_.classifier,
+                                                cfg_.batcher, ladder_rt_);
 
   // Pool backing staged feature windows: one block holds one window's
   // feature matrix.  Sized for a busy fleet's worst realistic backlog;
@@ -95,10 +85,8 @@ SessionId SessionManager::create_session(const SessionConfig& cfg) {
                                            /*start_tick=*/now_tick_);
   slot.cfg = cfg;
   slot.window_start_tick = now_tick_;
-  if (cfg_.wheel) {
-    slot.next_wake = now_tick_;
-    wheel_.schedule_at(now_tick_, wake_key(id));
-  }
+  slot.next_wake = now_tick_;
+  wheel_.schedule_at(now_tick_, wake_key(id));
   sessions_.emplace(id, std::move(slot));
   ++stats_.sessions_created;
   AFFECTSYS_COUNT("serve.sessions_created", 1);
@@ -176,27 +164,6 @@ void SessionManager::close_session(SessionId id) {
                       static_cast<double>(sessions_.size()));
 }
 
-std::size_t SessionManager::backlog() const {
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) total += sh.batcher->pending();
-  return total;
-}
-
-BatcherStats SessionManager::batcher_stats() const {
-  BatcherStats agg;
-  for (const Shard& sh : shards_) {
-    const BatcherStats& s = sh.batcher->stats();
-    agg.flushes += s.flushes;
-    agg.windows += s.windows;
-    agg.batched_windows += s.batched_windows;
-    agg.forced_fallback_flushes += s.forced_fallback_flushes;
-    agg.max_batch_rows = std::max(agg.max_batch_rows, s.max_batch_rows);
-    agg.windows_int8 += s.windows_int8;
-    agg.windows_hdc += s.windows_hdc;
-  }
-  return agg;
-}
-
 bool SessionManager::is_quarantined(SessionId id) const {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) {
@@ -263,9 +230,7 @@ void SessionManager::update_error_budget() {
       slot.results_to_drop = slot.session->inflight();
       ++stats_.sessions_quarantined;
       AFFECTSYS_COUNT("serve.sessions_quarantined", 1);
-      if (cfg_.wheel) {
-        wheel_.schedule_at(slot.release_tick, quarantine_key(id));
-      }
+      wheel_.schedule_at(slot.release_tick, quarantine_key(id));
     }
   }
 }
@@ -301,29 +266,14 @@ void SessionManager::restart_slot(SessionId id, Slot& slot) {
   AFFECTSYS_COUNT("serve.sessions_restarted", 1);
 }
 
-// Compat scheduling: every open, non-quarantined session is due, in id
-// order (map iteration) — the pre-PR 7 tick loop exactly.
-void SessionManager::build_due_compat() {
-  // Quarantine releases due this tick restart before anything runs, so
-  // the fresh session sees the full tick.
-  for (auto& [id, slot] : sessions_) {
-    if (slot.quarantined && now_tick_ >= slot.release_tick) {
-      restart_slot(id, slot);
-    }
-  }
-  for (auto& [id, slot] : sessions_) {
-    if (!slot.quarantined) order_.push_back(slot.session.get());
-  }
-}
-
-// Wheel scheduling: only the keys the wheel fires are touched.  A wake
+// Due list: only the keys the wheel fires are touched.  A wake
 // key is honoured iff its slot still exists, is not quarantined, and
 // scheduled exactly this wake (next_wake == now) — anything else is a
 // stale entry from a closed/restarted/rescheduled slot and is skipped.
 // collect() returns keys ascending, so quarantine releases (kind 0)
 // process before wake-ups (kind 1) and the restarted session joins this
 // tick's due list; last_run dedups a same-tick release + stale wake.
-void SessionManager::build_due_wheel() {
+void SessionManager::build_due() {
   due_keys_.clear();
   wheel_.collect(now_tick_, due_keys_);
   for (const std::uint64_t key : due_keys_) {
@@ -385,20 +335,18 @@ void SessionManager::tick_rooms() {
 // site passes a mask DISJOINT from every other suite's sites.
 //
 //   per-session plan (one logical stream, session ticked serially):
-//     1. stage A  pump_audio:            kSessionStall site, then the
-//                                        kAudioKinds chunk site;
-//     2. stage C  tick_transport_media:  kNetKinds site per packet sent
-//                                        (transport mode only), then
-//     3.          decode:                kNalUnitKinds site per NAL
-//                                        reaching the decoder.
-//   server plan: one kBatcherFallback site in stage B — consulted ONCE
-//   per tick regardless of shard count, with the decision applied to
-//   every shard's batcher.  The server plan's decision stream is
-//   therefore invariant across shards/wheel/work_steal, and a session's
-//   plan advances only on ticks the session actually runs (its sites
-//   live inside its own stages), so per-session fault schedules are a
-//   function of the session's local tick — identical across scheduler
-//   configurations by construction.
+//     1. stage A  pump_audio:           kSessionStall site, then the
+//                                       kAudioKinds chunk site;
+//     2. stage C  tick_media sender:    kNetKinds site per packet sent
+//                                       (transport link only), then
+//     3.          tick_media receiver:  kNalUnitKinds site per NAL
+//                                       reaching the decoder.
+//   server plan: one kBatcherFallback site in stage B, consulted once
+//   per tick.  A session's plan advances only on ticks the session
+//   actually runs (its sites live inside its own stages), so per-session
+//   fault schedules are a function of the session's local tick —
+//   identical whether it runs every tick or sleeps on the wheel, and
+//   whatever the pool's thread count.
 //
 // Because the masks are disjoint and a non-intersecting consultation
 // never advances the RNG (FaultPlan::next), two identities hold by
@@ -413,11 +361,7 @@ void SessionManager::tick() {
 
   // Stage 0 (serial): build this tick's due list.
   order_.clear();
-  if (cfg_.wheel) {
-    build_due_wheel();
-  } else {
-    build_due_compat();
-  }
+  build_due();
   stats_.session_runs += order_.size();
 
   // Precision pressure for this tick, from the backlog the last tick
@@ -427,79 +371,47 @@ void SessionManager::tick() {
 
   // Stage A: audio in parallel over the due list (its indexing keeps
   // parallel_for's chunking stable).
-  if (cfg_.work_steal || cfg_.shards == 1) {
-    core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        order_[i]->pump_audio(now_tick_, pressure);
-      }
-    });
-  } else {
-    for (Shard& sh : shards_) sh.due.clear();
-    for (Session* s : order_) {
-      shards_[s->id() % cfg_.shards].due.push_back(s);
+  core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      order_[i]->pump_audio(now_tick_, pressure);
     }
-    for (Shard& sh : shards_) {
-      core::parallel_for(0, sh.due.size(), 1,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t i = b; i < e; ++i) {
-                             sh.due[i]->pump_audio(now_tick_, pressure);
-                           }
-                         });
-    }
-  }
+  });
 
   // Stage R: room dominance (serial; see tick_rooms above).
   if (!rooms_.empty()) tick_rooms();
 
-  // Stage B: deterministic batch assembly + serialized inference,
-  // shards in ascending order, sessions in id order within each.
-  if (cfg_.shards == 1) {
-    for (Session* s : order_) s->drain_staged(*shards_[0].batcher);
-  } else {
-    for (std::size_t k = 0; k < cfg_.shards; ++k) {
-      for (Session* s : order_) {
-        if (s->id() % cfg_.shards == k) s->drain_staged(*shards_[k].batcher);
-      }
-    }
-  }
+  // Stage B: deterministic batch assembly (sessions in id order) +
+  // serialized inference.
+  for (Session* s : order_) s->drain_staged(*batcher_);
   if (fault_plan_.enabled()) {
     const bool fallback =
         fault_plan_.next(fault::kind_bit(fault::FaultKind::kBatcherFallback))
             .has_value();
     if (fallback) fault_counts_.record(fault::FaultKind::kBatcherFallback);
-    for (Shard& sh : shards_) sh.batcher->force_fallback(fallback);
+    batcher_->force_fallback(fallback);
   }
-  // At most one flush per shard per tick: the service capacity is
-  // max_batch rows per shard per tick, so sustained offered load beyond
-  // that grows the backlog and trips the shedding watermarks instead of
-  // silently stretching the tick.
-  for (Shard& sh : shards_) {
-    if (sh.batcher->should_flush(now_tick_)) {
-      const std::size_t n = sh.batcher->flush_into(results_);
-      route({results_.data(), n});
-    }
+  // The service capacity is max_batch rows per tick, so sustained
+  // offered load beyond that grows the backlog and trips the shedding
+  // watermarks instead of silently stretching the tick.  Flushes are
+  // rung-homogeneous, so a queue that mixes ladder rungs spends that
+  // capacity over several flushes (an all-fp32 queue takes one).
+  for (std::size_t served = 0; served < cfg_.batcher.max_batch &&
+                               batcher_->should_flush(now_tick_);) {
+    const std::size_t n = batcher_->flush_into(
+        {results_.data(), cfg_.batcher.max_batch - served});
+    route({results_.data(), n});
+    served += n;
   }
 
   update_degrade_level();
 
   // Stage C: media in parallel under the shared degrade level.
   const int level = degrade_level_;
-  if (cfg_.work_steal || cfg_.shards == 1) {
-    core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        order_[i]->tick_media(now_tick_, level);
-      }
-    });
-  } else {
-    for (Shard& sh : shards_) {
-      core::parallel_for(0, sh.due.size(), 1,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t i = b; i < e; ++i) {
-                             sh.due[i]->tick_media(now_tick_, level);
-                           }
-                         });
+  core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      order_[i]->tick_media(now_tick_, level);
     }
-  }
+  });
 
   // Error-budget ladder (serial): offenders spend the next
   // quarantine_ticks ticks benched, then restart fresh.
@@ -508,25 +420,21 @@ void SessionManager::tick() {
   // Reschedule: every session that ran (and was not just quarantined)
   // files its next wake-up.  Quarantined slots already filed their
   // release key in update_error_budget().
-  if (cfg_.wheel) {
-    for (Session* s : order_) {
-      const auto it = sessions_.find(s->id());
-      if (it == sessions_.end() || it->second.quarantined) continue;
-      const std::uint64_t at = now_tick_ + s->next_wake_delay();
-      it->second.next_wake = at;
-      wheel_.schedule_at(at, wake_key(s->id()));
-    }
+  for (Session* s : order_) {
+    const auto it = sessions_.find(s->id());
+    if (it == sessions_.end() || it->second.quarantined) continue;
+    const std::uint64_t at = now_tick_ + s->next_wake_delay();
+    it->second.next_wake = at;
+    wheel_.schedule_at(at, wake_key(s->id()));
   }
 
   ++now_tick_;
 }
 
 void SessionManager::drain() {
-  for (Shard& sh : shards_) {
-    while (sh.batcher->pending() > 0) {
-      const std::size_t n = sh.batcher->flush_into(results_);
-      route({results_.data(), n});
-    }
+  while (batcher_->pending() > 0) {
+    const std::size_t n = batcher_->flush_into(results_);
+    route({results_.data(), n});
   }
 }
 

@@ -7,38 +7,27 @@
 //   A. pump_audio over every due session (parallel_for; session state
 //      is private, shared state read-only),
 //   B. collect staged windows in session-id order (serial, so batch
-//      assembly is deterministic), feed each session's shard batcher,
-//      flush at most one batch per shard (service capacity = max_batch
-//      rows per shard per tick) and route the results back (serial —
-//      the model's activation caches make inference non-reentrant),
+//      assembly is deterministic) into the one InferenceBatcher, flush
+//      at most max_batch rows (the service capacity per tick; one batch
+//      unless ladder rungs split it) and route the results back
+//      (serial — the model's activation caches make inference
+//      non-reentrant),
 //   C. tick_media over every due session (parallel_for) under the
 //      current degrade level.
 //
-// Scheduling has two modes:
-//   - compat (wheel=false, the default): every open session is due
-//     every tick — the pre-PR 7 global tick, byte-identical to it.
-//   - event-driven (wheel=true): a hierarchical timer wheel
-//     (core/timer_wheel) holds one wake-up entry per session; a tick
-//     only touches sessions the wheel hands back, so a fleet of
-//     mostly-idle (duty-cycled) sessions costs O(due) per tick instead
-//     of O(open).  Sessions run on their *local* tick clock, which
-//     advances only when they run, so a session's per-run behaviour is
-//     independent of how long it slept.
-//
-// Sharding (shards=K): sessions partition statically by id % K and
-// each shard owns a private InferenceBatcher (metric scope
-// "serve.shard<k>" when K > 1).  Stage B drains and flushes shards in
-// ascending shard order, and batch assembly within a shard follows
-// session-id order, so the result stream is a deterministic function
-// of (config, seeds) — replaying a K-shard run reproduces it exactly.
-// work_steal=true runs stages A/C as one parallel_for over the merged
-// due list (idle shards donate their workers); false runs one
-// parallel_for per shard.  Both produce identical results — the flag
-// only reshapes work distribution.
+// Scheduling: a hierarchical timer wheel (core/timer_wheel) holds one
+// wake-up entry per session, and a tick only touches the sessions the
+// wheel hands back — every open session for an always-on fleet, O(due)
+// for a mostly-idle (duty-cycled) one.  Sessions run on their *local*
+// tick clock, which advances only when they run, so a session's
+// per-run behaviour is independent of how long it slept.  Batch
+// capacity is batcher.max_batch; each window's result is bit-identical
+// whatever batch it rides in (the batcher's contract), so raising it
+// changes capacity, never output.
 //
 // Determinism: nothing in the control loop reads a wall clock.  The
 // flush deadline is counted in ticks, service capacity is max_batch
-// rows per flush, and the degrade level is a pure function of the
+// rows per tick, and the degrade level is a pure function of the
 // global backlog vs. the watermarks — so an overloaded run is exactly
 // replayable under a fixed seed, which is what the shedding tests
 // assert.
@@ -121,16 +110,6 @@ struct ServerConfig {
   /// Server-level fault injection (kBatcherFallback fires here); the
   /// per-session kinds ride in each session's own config.
   fault::FaultConfig fault{};
-  /// Session shards (id % shards).  Each shard owns its own batcher;
-  /// 1 (the default) reproduces the single global batcher, including
-  /// its legacy un-prefixed metric names, byte-for-byte.
-  std::size_t shards = 1;
-  /// Event-driven scheduling via the timer wheel (see the header
-  /// comment).  False = compat: every session runs every tick.
-  bool wheel = false;
-  /// One merged parallel_for across shards for stages A/C (true) vs.
-  /// a barrier per shard (false).  Identical results either way.
-  bool work_steal = true;
   /// Build the shared feature-bank cache for quantized workloads
   /// (sessions fall back to live extraction when false — byte-identical
   /// output, the A/B the cache-identity test runs).
@@ -159,8 +138,8 @@ struct ServerStats {
   // Conference rooms.
   std::uint64_t rooms_created = 0;
   /// Session-ticks actually executed (sum of due-list sizes).  Equals
-  /// ticks * open_sessions under compat scheduling; far smaller for a
-  /// duty-cycled fleet on the wheel — the bench's idling evidence.
+  /// ticks * open_sessions for an always-on fleet; far smaller for a
+  /// duty-cycled one — the bench's idling evidence.
   std::uint64_t session_runs = 0;
   // Inference-ladder pressure (both zero with the ladder off).
   std::uint64_t ladder_pressure_ticks = 0;  ///< ticks at pressure >= 1
@@ -233,14 +212,11 @@ class SessionManager {
   /// Highest rung the ladder can actually serve (what the env's
   /// sessions see as max_rung).
   Rung max_rung() const { return env_.max_rung; }
-  /// Windows pending inference summed over shard batchers (after stage
-  /// B every session's staging buffer is empty, so this is the whole
-  /// backlog).
-  std::size_t backlog() const;
+  /// Windows pending inference at the batcher (after stage B every
+  /// session's staging buffer is empty, so this is the whole backlog).
+  std::size_t backlog() const { return batcher_->pending(); }
   const ServerStats& stats() const { return stats_; }
-  /// Batcher counters aggregated across shards (max_batch_rows is the
-  /// max over shards, everything else sums).
-  BatcherStats batcher_stats() const;
+  const BatcherStats& batcher_stats() const { return batcher_->stats(); }
   const ServerConfig& config() const { return cfg_; }
   /// The pool backing staged feature windows (for allocation tests).
   const core::BufferPool& feature_pool() const { return *feature_pool_ptr_; }
@@ -270,13 +246,6 @@ class SessionManager {
     std::uint64_t last_run = std::numeric_limits<std::uint64_t>::max();
   };
 
-  /// One session shard: a private batcher plus scratch for the shard's
-  /// slice of the due list.
-  struct Shard {
-    std::unique_ptr<InferenceBatcher> batcher;
-    std::vector<Session*> due;  ///< scratch, rebuilt every tick
-  };
-
   // Wheel keys: (kind << 56) | session id.  Quarantine releases sort
   // (and therefore run) before wake-ups on the same tick, so a freshly
   // restarted session joins this tick's due list.
@@ -286,8 +255,7 @@ class SessionManager {
   }
   static std::uint64_t quarantine_key(SessionId id) { return id; }
 
-  void build_due_compat();
-  void build_due_wheel();
+  void build_due();
   void tick_rooms();
   void restart_slot(SessionId id, Slot& slot);
   void route(std::span<const RoutedResult> results);
@@ -301,8 +269,8 @@ class SessionManager {
 
   // Pooled feature staging + shared feature-bank cache (built here when
   // the caller's env leaves them null; env_ is patched to point at them
-  // before any session is created).  Declared BEFORE the shards and the
-  // session map: sessions' staging rings and shard batchers hold
+  // before any session is created).  Declared BEFORE the batcher and the
+  // session map: sessions' staging rings and the batcher hold
   // BufferRefs pooled from feature_pool_, so the pool must be destroyed
   // after them (members destroy in reverse declaration order).
   std::unique_ptr<core::BufferPool> feature_pool_;
@@ -311,12 +279,12 @@ class SessionManager {
 
   /// Ladder runtime: the int8 capture of the classifier (built here
   /// when the ladder is enabled and the model shape quantizes) plus the
-  /// caller's HDC model.  Declared before shards_ — the batchers copy
-  /// ladder_rt_ at construction but the models must outlive them.
+  /// caller's HDC model.  Declared before batcher_ — the batcher copies
+  /// ladder_rt_ at construction but the models must outlive it.
   std::optional<nn::QuantizedMlp> quantized_;
   LadderRuntime ladder_rt_;
 
-  std::vector<Shard> shards_;
+  std::unique_ptr<InferenceBatcher> batcher_;
   /// Ordered by id: iteration order (and thus batch assembly and
   /// parallel_for indexing) is deterministic.
   std::map<SessionId, Slot> sessions_;
@@ -332,7 +300,7 @@ class SessionManager {
   int ladder_pressure_ = 0;
   ServerStats stats_;
 
-  // Event-driven scheduling.
+  // Scheduling.
   core::TimerWheel wheel_;
   std::vector<std::uint64_t> due_keys_;  ///< collect() scratch
 

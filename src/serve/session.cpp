@@ -125,14 +125,19 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
   c_decode_errors_ = &scope_.counter("serve.decode_errors");
   c_chunks_dropped_ = &scope_.counter("serve.audio_chunks_dropped");
 
+  // Media: the single-stream clip is a 1-layer clip, so one sender loop
+  // and one receiver serve both.  Simulcast picks the multi-layer clip,
+  // the switch policy and the per-layer bookkeeping; with it off those
+  // stay dormant and the layer selector forwards layer 0 forever.
+  clip_ = cfg_.simulcast.enabled ? env_.workload->simulcast_clip()
+                                 : &env_.workload->clip();
   if (cfg_.simulcast.enabled) {
-    sim_clip_ = env_.workload->simulcast_clip();
-    if (sim_clip_ == nullptr) {
+    if (clip_ == nullptr) {
       throw std::invalid_argument(
           "Session: simulcast enabled but the workload built no clip "
           "(set WorkloadConfig::simulcast.layers)");
     }
-    const std::size_t n = sim_clip_->layer_count();
+    const std::size_t n = clip_->layer_count();
     if (cfg_.transport.enabled &&
         static_cast<std::size_t>(cfg_.transport.layers) != n) {
       throw std::invalid_argument(
@@ -144,9 +149,8 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
                   : cfg_.simulcast.conference
                       ? simulcast::conference_switch_policy(n)
                       : simulcast::default_switch_policy(n);
-    // Sessions join on the top layer; the first picture's join path
-    // (sim_layer_valid_ starts false) tunes the decoder to it.
-    sim_selector_ = simulcast::LayerSelector(n, n - 1);
+    // Sessions join on the top layer.
+    layer_selector_ = simulcast::LayerSelector(n, n - 1);
     c_layer_switches_ = &scope_.counter("serve.sim.layer_switches");
     c_layer_wait_ = &scope_.counter("serve.sim.wait_pictures");
     c_downswitch_sheds_ = &scope_.counter("serve.sim.downswitch_sheds");
@@ -265,9 +269,8 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
     for (double s : chunk_) acc += s * s;
     last_energy_ = acc / static_cast<double>(chunk_.size());
   }
-  // Media time runs on the *local* clock: under compat scheduling it
-  // equals the server tick, under wheel scheduling it advances only on
-  // ticks that run, so idle phases never appear as capture gaps.
+  // Media time runs on the *local* clock, which advances only on ticks
+  // that run, so idle phases never appear as capture gaps.
   samples_pushed_ += chunk_.size();
   pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk_);
 }
@@ -366,17 +369,6 @@ void Session::on_window(double t_end, std::span<const double> window) {
   }
 }
 
-std::vector<InferenceRequest> Session::take_staged() {
-  inflight_ += staged_count_;
-  std::vector<InferenceRequest> out;
-  out.reserve(staged_count_);
-  for (std::size_t i = 0; i < staged_count_; ++i) {
-    out.push_back(std::move(staged_[i]));
-  }
-  staged_count_ = 0;
-  return out;
-}
-
 void Session::drain_staged(InferenceBatcher& b) {
   inflight_ += staged_count_;
   for (std::size_t i = 0; i < staged_count_; ++i) {
@@ -432,30 +424,42 @@ void Session::tick_media(std::uint64_t /*tick*/, int degrade_level) {
   if (sim) shed = sim_request_layer(budget, degrade_level, shed);
   const adaptive::ModeConfig mc = adaptive::mode_config(
       effective_mode_, cfg_.selector.s_th, cfg_.selector.f);
-  if (link_) {
-    // Transport-fed media: under overload the *sender* sheds (nothing
-    // is packetized, so shed frames cost no network bytes), but the
-    // receive side still drains in-flight packets every tick.
-    if (sim) {
-      tick_sim_transport_media(shed ? 0 : budget, mc, local_tick_);
-    } else {
-      tick_transport_media(shed ? 0 : budget, mc, local_tick_);
-    }
-    if (shed) {
-      stats_.frames_dropped += budget;
-      c_frames_dropped_->add(budget);
-    }
-  } else if (shed) {
-    // Every affect-adaptive knob is already exhausted at Combined;
-    // beyond that the server sheds this tick's frames outright.
+  if (shed) {
+    // Every affect-adaptive knob is already exhausted at Combined; beyond
+    // that the *sender* sheds this tick's frames outright (nothing is
+    // sent, so shed frames cost no network bytes), while the receiver
+    // still drains whatever the link has in flight.
     stats_.frames_dropped += budget;
     c_frames_dropped_->add(budget);
-  } else if (budget > 0) {
-    if (sim) {
-      decode_sim_pictures(budget, mc);
-    } else {
-      decode_pictures(budget, mc);
+  } else {
+    send_pictures(budget, mc);
+  }
+
+  // Receiver: decode in release order.  Per-tick fault consultation
+  // order (see the SessionManager::tick contract): the link's net sites
+  // ran inside send(), before the per-NAL bitstream sites here, all on
+  // this session's one plan.
+  decoder_.set_deblock_enabled(mc.deblock);
+  if (link_) {
+    for (const net::DepacketizerEvent& ev : link_->receive(local_tick_)) {
+      receive_unit(ev.loss, ev.nal.layer, ev.nal.generation, ev.nal.nal,
+                   mc.deblock);
     }
+    // Roll link totals into the stats block (obs counters get deltas —
+    // stats_ still holds the previous tick's totals here).
+    const net::TransportStats ts = link_->stats();
+    const std::uint64_t sent = ts.packets_sent + ts.parity_sent;
+    c_packets_sent_->add(sent - stats_.packets_sent);
+    c_packets_lost_->add(ts.packets_lost - stats_.packets_lost);
+    c_packets_recovered_->add(ts.packets_recovered - stats_.packets_recovered);
+    stats_.packets_sent = sent;
+    stats_.packets_lost = ts.packets_lost;
+    stats_.packets_recovered = ts.packets_recovered;
+  } else {
+    for (const SentUnit& u : sent_) {
+      receive_unit(false, u.layer, u.generation, *u.nal, mc.deblock);
+    }
+    sent_.clear();
   }
   if (sim) sim_sync_counters();
 
@@ -470,51 +474,132 @@ void Session::tick_media(std::uint64_t /*tick*/, int degrade_level) {
   ++local_tick_;
 }
 
-void Session::decode_pictures(std::size_t budget,
-                              const adaptive::ModeConfig& mc) {
-  const std::vector<h264::NalUnit>& nals = env_.workload->nal_units();
-  decoder_.set_deblock_enabled(mc.deblock);
-  std::size_t pictures = 0;
-
-  // Decodes one (possibly faulted) unit.  Every slice consumes its
-  // display slot whether it decoded, erred or was skipped during
-  // resync — a fault storm must not stall the tick loop.
-  const auto decode_one = [&](const h264::NalUnit& unit) {
-    if (decode_unit(unit)) ++pictures;
-  };
-
-  while (pictures < budget) {
-    if (nal_cursor_ >= nals.size()) {
-      // Loop the clip with fresh decoder/selector state so every pass
-      // is decoded the same way (mode changes aside).
-      nal_cursor_ = 0;
-      decoder_.reset(h264::DecoderConfig{mc.deblock, /*resilient=*/true});
+// Sender: walks `slots` display slots of the clip, one picture each —
+// deleted, lost or decoded alike, so a fault or switch storm cannot
+// stall the tick loop.  The layer selector picks each picture's layer
+// (always 0 on a single-stream clip); the Input Selector's NAL deletion
+// happens here, before the link, so a deleted slice never costs network
+// bytes.  Layer_bytes counts exactly the slice bytes handed to the link
+// — the bytes-on-wire the benches compare against deletion-only
+// shedding.
+void Session::send_pictures(std::size_t slots, const adaptive::ModeConfig& mc) {
+  const bool sim = cfg_.simulcast.enabled;
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (pic_ >= clip_->pictures()) {
+      // Clip wrap: new generation (the receiver swaps in a fresh decoder
+      // when it sees it), fresh selector cadence, and a re-join.
+      pic_ = 0;
+      ++send_gen_;
+      send_au_ = 0;
+      layer_valid_ = false;
       selector_.reset();
     }
-    const h264::NalUnit& nal = nals[nal_cursor_++];
-    const bool slice = h264::is_slice(nal);
-    if (slice && mc.delete_nals && !selector_.keeps(nal)) {
+    const std::size_t layer = layer_selector_.on_picture(clip_->idr_at(pic_));
+    const simulcast::LayerStream& stream = clip_->layer(layer);
+    au_count_ = 0;
+    if (!layer_valid_ || layer != cur_layer_) {
+      // Join (first picture, wrap or layer switch).  Deletion thresholds
+      // are layer-relative: S_th calibrated for the top layer rescales
+      // by this layer's mean P/B slice size.  The layer's parameter sets
+      // ship in front of the slice so the receiver can retune.
+      cur_layer_ = layer;
+      layer_valid_ = true;
+      selector_.set_layer_scale(clip_->selector_scale(layer));
+      if (sim && cfg_.record_trace) {
+        layer_trace_.emplace_back(pic_global_,
+                                  static_cast<std::uint8_t>(layer));
+      }
+      for (const h264::NalUnit& p : stream.params) send_unit(p, layer);
+    }
+    const h264::NalUnit& nal = stream.slices[pic_];
+    ++pic_;
+    ++pic_global_;
+    if (sim) {
+      ++stats_.layer_pictures[layer];
+      c_layer_pictures_[layer]->add(1);
+    }
+    if (mc.delete_nals && !selector_.keeps(nal)) {
       ++stats_.nals_deleted;
       c_nals_deleted_->add(1);
-      ++pictures;  // the deleted picture consumed its display slot
-      continue;
-    }
-    if (fault_plan_.enabled()) {
-      if (auto faulted =
-              fault::maybe_fault_nal(nal, fault_plan_, fault_counts_)) {
-        c_faults_->add(1);
-        for (const h264::NalUnit& u : *faulted) decode_one(u);
-        continue;
+    } else {
+      send_unit(nal, layer);
+      if (sim) {
+        stats_.layer_bytes[layer] += nal.byte_size();
+        c_layer_bytes_[layer]->add(nal.byte_size());
       }
     }
-    decode_one(nal);
+    if (link_ && au_count_ > 0) {
+      link_->send(std::span<const h264::NalUnit>(au_.data(), au_count_),
+                  send_au_, send_gen_, local_tick_,
+                  static_cast<std::uint8_t>(layer));
+    }
+    ++send_au_;
   }
 }
 
-// Decodes one unit, digesting decoded pixels.  Returns true when the
-// unit consumed a display slot (every slice does — decoded, erred or
-// skipped during resync).
-bool Session::decode_unit(const h264::NalUnit& unit) {
+// Queues one unit of the access unit being built: a copy into the
+// reused access-unit ring for the transport link (copy-assign keeps
+// payload capacity), or a pointer into the shared clip for the identity
+// link.  Neither allocates once warm.
+void Session::send_unit(const h264::NalUnit& nal, std::size_t layer) {
+  if (!link_) {
+    sent_.push_back(
+        SentUnit{&nal, send_gen_, static_cast<std::uint8_t>(layer)});
+    return;
+  }
+  if (au_count_ < au_.size()) {
+    au_[au_count_] = nal;
+  } else {
+    au_.push_back(nal);
+  }
+  ++au_count_;
+}
+
+// Receiver: one event off the link.  Units from a lane the decoder is
+// not tuned to are adopted only at a decodable entry point (SPS or IDR
+// slice — exactly what the sender ships on a join); anything else from
+// a stale lane is skipped, as are its loss events — a loss on a lane we
+// stopped watching is not a resync cue.  Declared losses reach the
+// decoder as resync cues: a dropped packet yields *missing* data, not
+// malformed data, so without notify_loss it would drift silently.
+void Session::receive_unit(bool loss, std::uint8_t layer,
+                           std::uint32_t generation, const h264::NalUnit& nal,
+                           bool deblock) {
+  const bool tuned = rx_layer_valid_ && layer == rx_layer_;
+  if (loss) {
+    if (!tuned) return;
+    decoder_.notify_loss();
+    ++stats_.nals_lost;
+    c_nals_lost_->add(1);
+    return;
+  }
+  if (!tuned) {
+    if (nal.type != h264::NalType::kSps &&
+        nal.type != h264::NalType::kSliceIdr) {
+      return;
+    }
+    rx_layer_ = layer;
+    rx_layer_valid_ = true;
+    rx_gen_ = generation;
+    decoder_.reset(h264::DecoderConfig{deblock, /*resilient=*/true});
+  } else if (generation != rx_gen_) {
+    rx_gen_ = generation;
+    decoder_.reset(h264::DecoderConfig{deblock, /*resilient=*/true});
+  }
+  if (fault_plan_.enabled()) {
+    if (auto faulted =
+            fault::maybe_fault_nal(nal, fault_plan_, fault_counts_)) {
+      c_faults_->add(1);
+      for (const h264::NalUnit& u : *faulted) decode_unit(u);
+      return;
+    }
+  }
+  decode_unit(nal);
+}
+
+// Decodes one unit, digesting decoded pixels.  A slice that yields no
+// picture (erred, or skipped during resync) counts as a lost picture.
+void Session::decode_unit(const h264::NalUnit& unit) {
   const std::uint64_t errs_before = decoder_.activity().nal_errors;
   if (auto pic = decoder_.decode_nal(unit)) {
     fnv_plane(digest_, pic->frame.y);
@@ -523,7 +608,7 @@ bool Session::decode_unit(const h264::NalUnit& unit) {
     decoder_.recycle(std::move(pic->frame));
     ++stats_.frames_decoded;
     c_frames_->add(1);
-    return true;
+    return;
   }
   if (h264::is_slice(unit)) {
     ++stats_.pictures_lost;
@@ -531,109 +616,7 @@ bool Session::decode_unit(const h264::NalUnit& unit) {
       ++stats_.decode_errors;
       c_decode_errors_->add(1);
     }
-    return true;
   }
-  return false;
-}
-
-// Transport-fed media tick: packetize `slots` display slots of the
-// shared clip onto the link, then decode everything the network
-// released at this tick.  Per-tick fault consultation order (see the
-// SessionManager::tick contract): the net sites here run after stage
-// A's stall/audio sites and before the receive side's per-NAL
-// bitstream sites, all on this session's one plan.
-void Session::tick_transport_media(std::size_t slots,
-                                   const adaptive::ModeConfig& mc,
-                                   std::uint64_t tick) {
-  const std::vector<h264::NalUnit>& nals = env_.workload->nal_units();
-
-  // Sender.  The Input Selector's NAL deletion happens here — sender-
-  // side shedding — so a deleted slice never costs network bytes; any
-  // parameter sets in front of it still ship.
-  // Access units assemble into a reused ring (payload capacity kept
-  // across ticks), so the steady-state sender never allocates.
-  const auto append_au = [&](const h264::NalUnit& nal) {
-    if (au_count_ < au_.size()) {
-      au_[au_count_] = nal;  // copy-assign reuses payload capacity
-    } else {
-      au_.push_back(nal);
-    }
-    ++au_count_;
-  };
-
-  std::size_t sent_slots = 0;
-  while (sent_slots < slots) {
-    if (nal_cursor_ >= nals.size()) {
-      // Clip wrap: new generation, fresh selector.  The receiver swaps
-      // in a fresh decoder when it sees the generation change, so the
-      // wrap behaves exactly like the in-process path's reset.
-      nal_cursor_ = 0;
-      ++send_gen_;
-      send_au_ = 0;
-      selector_.reset();
-    }
-    au_count_ = 0;
-    bool have_slice = false;
-    while (nal_cursor_ < nals.size()) {
-      const h264::NalUnit& nal = nals[nal_cursor_++];
-      if (!h264::is_slice(nal)) {
-        append_au(nal);
-        continue;
-      }
-      have_slice = true;
-      if (mc.delete_nals && !selector_.keeps(nal)) {
-        ++stats_.nals_deleted;
-        c_nals_deleted_->add(1);
-        break;  // slice shed before packetization
-      }
-      append_au(nal);
-      break;
-    }
-    if (au_count_ > 0) {
-      link_->send(std::span<const h264::NalUnit>(au_.data(), au_count_),
-                  send_au_, send_gen_, tick);
-    }
-    ++send_au_;
-    if (have_slice) ++sent_slots;
-  }
-
-  // Receiver: decode in release order.  Declared losses reach the
-  // decoder as resync cues — a dropped packet yields *missing* data,
-  // not malformed data, so without notify_loss it would drift silently.
-  decoder_.set_deblock_enabled(mc.deblock);
-  for (const net::DepacketizerEvent& ev : link_->receive(tick)) {
-    if (ev.loss) {
-      decoder_.notify_loss();
-      ++stats_.nals_lost;
-      c_nals_lost_->add(1);
-      continue;
-    }
-    if (ev.nal.generation != rx_gen_) {
-      rx_gen_ = ev.nal.generation;
-      decoder_.reset(h264::DecoderConfig{mc.deblock, /*resilient=*/true});
-    }
-    const h264::NalUnit& nal = ev.nal.nal;
-    if (fault_plan_.enabled()) {
-      if (auto faulted =
-              fault::maybe_fault_nal(nal, fault_plan_, fault_counts_)) {
-        c_faults_->add(1);
-        for (const h264::NalUnit& u : *faulted) decode_unit(u);
-        continue;
-      }
-    }
-    decode_unit(nal);
-  }
-
-  // Roll link totals into the stats block (obs counters get deltas —
-  // stats_ still holds the previous tick's totals here).
-  const net::TransportStats ts = link_->stats();
-  const std::uint64_t sent = ts.packets_sent + ts.parity_sent;
-  c_packets_sent_->add(sent - stats_.packets_sent);
-  c_packets_lost_->add(ts.packets_lost - stats_.packets_lost);
-  c_packets_recovered_->add(ts.packets_recovered - stats_.packets_recovered);
-  stats_.packets_sent = sent;
-  stats_.packets_lost = ts.packets_lost;
-  stats_.packets_recovered = ts.packets_recovered;
 }
 
 // Evaluates the switch policy over this tick's context and applies the
@@ -656,11 +639,13 @@ bool Session::sim_request_layer(std::size_t budget, int degrade_level,
   ctx.battery = dev.battery;
   ctx.thermal_headroom = dev.thermal_headroom;
   ctx.speaker_role = speaker_role_;
-  sim_selector_.request(
-      sim_policy_.target_layer(policy_mode_, ctx, sim_clip_->layer_count()));
+  layer_selector_.request(
+      sim_policy_.target_layer(policy_mode_, ctx, clip_->layer_count()));
   if (shed) {
-    if (sim_selector_.current() == 0 && !sim_selector_.waiting()) return true;
-    sim_selector_.request(0);
+    if (layer_selector_.current() == 0 && !layer_selector_.waiting()) {
+      return true;
+    }
+    layer_selector_.request(0);
     stats_.frames_downswitched += budget;
     c_downswitch_sheds_->add(budget);
     return false;
@@ -668,186 +653,8 @@ bool Session::sim_request_layer(std::size_t budget, int degrade_level,
   return shed;
 }
 
-// One picture boundary of the aligned clip: wraps the loop, runs the
-// selector, and handles layer joins.  In-process joins retune the
-// decoder (reset + parameter sets) here; transport joins only update
-// the selector state — the caller ships the new layer's parameter sets
-// in the same access unit so the receiver can retune.
-std::size_t Session::sim_advance_picture(const adaptive::ModeConfig& mc,
-                                         bool transport, bool& joined) {
-  joined = false;
-  if (sim_pic_ >= sim_clip_->pictures()) {
-    // Clip wrap: fresh selector cadence and (in-process) decoder state,
-    // exactly like the single-stream paths; the transport side bumps
-    // the generation so the receiver resets on arrival.
-    sim_pic_ = 0;
-    sim_layer_valid_ = false;
-    selector_.reset();
-    if (transport) {
-      ++send_gen_;
-      send_au_ = 0;
-    } else {
-      decoder_.reset(h264::DecoderConfig{mc.deblock, /*resilient=*/true});
-    }
-  }
-  const bool idr = sim_clip_->idr_at(sim_pic_);
-  const std::size_t layer = sim_selector_.on_picture(idr);
-  if (!sim_layer_valid_ || layer != sim_cur_layer_) {
-    joined = true;
-    sim_cur_layer_ = layer;
-    sim_layer_valid_ = true;
-    // Deletion thresholds are layer-relative: S_th calibrated for the
-    // top layer rescales by this layer's mean P/B slice size.
-    selector_.set_layer_scale(sim_clip_->selector_scale(layer));
-    if (cfg_.record_trace) {
-      layer_trace_.emplace_back(sim_pic_global_,
-                                static_cast<std::uint8_t>(layer));
-    }
-    if (!transport) {
-      decoder_.reset(h264::DecoderConfig{mc.deblock, /*resilient=*/true});
-      for (const h264::NalUnit& p : sim_clip_->layer(layer).params) {
-        decode_unit(p);
-      }
-    }
-  }
-  return layer;
-}
-
-void Session::decode_sim_pictures(std::size_t budget,
-                                  const adaptive::ModeConfig& mc) {
-  decoder_.set_deblock_enabled(mc.deblock);
-  // Each walked picture index consumes exactly one display slot —
-  // deleted, faulted or decoded — so a switch storm cannot stall the
-  // tick loop.
-  for (std::size_t pictures = 0; pictures < budget; ++pictures) {
-    bool joined = false;  // in-process joins are handled inside
-    const std::size_t layer = sim_advance_picture(mc, /*transport=*/false,
-                                                  joined);
-    const h264::NalUnit& nal = sim_clip_->layer(layer).slices[sim_pic_];
-    ++sim_pic_;
-    ++sim_pic_global_;
-    ++stats_.layer_pictures[layer];
-    c_layer_pictures_[layer]->add(1);
-    if (mc.delete_nals && !selector_.keeps(nal)) {
-      ++stats_.nals_deleted;
-      c_nals_deleted_->add(1);
-      continue;
-    }
-    stats_.layer_bytes[layer] += nal.byte_size();
-    c_layer_bytes_[layer]->add(nal.byte_size());
-    if (fault_plan_.enabled()) {
-      if (auto faulted =
-              fault::maybe_fault_nal(nal, fault_plan_, fault_counts_)) {
-        c_faults_->add(1);
-        for (const h264::NalUnit& u : *faulted) decode_unit(u);
-        continue;
-      }
-    }
-    decode_unit(nal);
-  }
-}
-
-// Simulcast transport tick: the sender walks the aligned clip picture
-// by picture, forwarding the selected layer on its own lane (per-layer
-// sequence space), and the receiver follows lane changes at decodable
-// entry points.  Layer_bytes counts exactly the slice bytes handed to
-// the packetizer — the bytes-on-wire the benches compare against
-// deletion-only shedding.
-void Session::tick_sim_transport_media(std::size_t slots,
-                                       const adaptive::ModeConfig& mc,
-                                       std::uint64_t tick) {
-  const auto append_au = [&](const h264::NalUnit& nal) {
-    if (au_count_ < au_.size()) {
-      au_[au_count_] = nal;  // copy-assign reuses payload capacity
-    } else {
-      au_.push_back(nal);
-    }
-    ++au_count_;
-  };
-
-  for (std::size_t sent_slots = 0; sent_slots < slots; ++sent_slots) {
-    bool joined = false;
-    const std::size_t layer = sim_advance_picture(mc, /*transport=*/true,
-                                                  joined);
-    const h264::NalUnit& nal = sim_clip_->layer(layer).slices[sim_pic_];
-    ++sim_pic_;
-    ++sim_pic_global_;
-    ++stats_.layer_pictures[layer];
-    c_layer_pictures_[layer]->add(1);
-    au_count_ = 0;
-    if (joined) {
-      // New lane (or new generation): ship the layer's parameter sets
-      // in front of the slice so the receiver can retune mid-stream.
-      for (const h264::NalUnit& p : sim_clip_->layer(layer).params) {
-        append_au(p);
-      }
-    }
-    if (mc.delete_nals && !selector_.keeps(nal)) {
-      ++stats_.nals_deleted;
-      c_nals_deleted_->add(1);
-    } else {
-      append_au(nal);
-      stats_.layer_bytes[layer] += nal.byte_size();
-      c_layer_bytes_[layer]->add(nal.byte_size());
-    }
-    if (au_count_ > 0) {
-      link_->send(std::span<const h264::NalUnit>(au_.data(), au_count_),
-                  send_au_, send_gen_, tick, static_cast<std::uint8_t>(layer));
-    }
-    ++send_au_;
-  }
-
-  // Receiver: decode in release order, following the sender's lane.
-  // Packets from a lane the decoder is not tuned to are adopted only at
-  // a decodable entry point (SPS or IDR slice — exactly what the sender
-  // ships on a join); anything else from a stale lane is skipped, as
-  // are its loss events — a loss on a lane we stopped watching is not a
-  // resync cue.
-  decoder_.set_deblock_enabled(mc.deblock);
-  for (const net::DepacketizerEvent& ev : link_->receive(tick)) {
-    if (ev.loss) {
-      if (!rx_layer_valid_ || ev.nal.layer != rx_layer_) continue;
-      decoder_.notify_loss();
-      ++stats_.nals_lost;
-      c_nals_lost_->add(1);
-      continue;
-    }
-    const h264::NalUnit& nal = ev.nal.nal;
-    if (!rx_layer_valid_ || ev.nal.layer != rx_layer_) {
-      const bool entry = nal.type == h264::NalType::kSps ||
-                         nal.type == h264::NalType::kSliceIdr;
-      if (!entry) continue;
-      rx_layer_ = ev.nal.layer;
-      rx_layer_valid_ = true;
-      rx_gen_ = ev.nal.generation;
-      decoder_.reset(h264::DecoderConfig{mc.deblock, /*resilient=*/true});
-    } else if (ev.nal.generation != rx_gen_) {
-      rx_gen_ = ev.nal.generation;
-      decoder_.reset(h264::DecoderConfig{mc.deblock, /*resilient=*/true});
-    }
-    if (fault_plan_.enabled()) {
-      if (auto faulted =
-              fault::maybe_fault_nal(nal, fault_plan_, fault_counts_)) {
-        c_faults_->add(1);
-        for (const h264::NalUnit& u : *faulted) decode_unit(u);
-        continue;
-      }
-    }
-    decode_unit(nal);
-  }
-
-  const net::TransportStats ts = link_->stats();
-  const std::uint64_t sent = ts.packets_sent + ts.parity_sent;
-  c_packets_sent_->add(sent - stats_.packets_sent);
-  c_packets_lost_->add(ts.packets_lost - stats_.packets_lost);
-  c_packets_recovered_->add(ts.packets_recovered - stats_.packets_recovered);
-  stats_.packets_sent = sent;
-  stats_.packets_lost = ts.packets_lost;
-  stats_.packets_recovered = ts.packets_recovered;
-}
-
 void Session::sim_sync_counters() {
-  const simulcast::LayerSelectorStats& st = sim_selector_.stats();
+  const simulcast::LayerSelectorStats& st = layer_selector_.stats();
   c_layer_switches_->add(st.switches_completed - stats_.layer_switches);
   c_layer_wait_->add(st.pictures_waited - stats_.layer_wait_pictures);
   stats_.layer_switches = st.switches_completed;
@@ -861,7 +668,7 @@ SessionReport Session::report() const {
   rep.stable_trace = stable_trace_;
   rep.rung_trace = rung_trace_;
   rep.layer_trace = layer_trace_;
-  if (cfg_.simulcast.enabled) rep.layer_selector = sim_selector_.stats();
+  if (cfg_.simulcast.enabled) rep.layer_selector = layer_selector_.stats();
   rep.decode_digest = digest_;
   rep.stats = stats_;
   rep.realtime = pipeline_.stats();

@@ -60,8 +60,9 @@ inline constexpr int kFrameShedLevel = 3;
 /// ticks walk the aligned multi-layer clip picture by picture: the
 /// switch policy is evaluated once per tick over (affect mode, context
 /// vector) and the LayerSelector changes the forwarded layer only at
-/// aligned IDRs.  Off (the default) leaves the single-stream media
-/// paths byte-identical to pre-simulcast builds.
+/// aligned IDRs.  Off (the default), the session walks the workload's
+/// single-stream clip (a 1-layer clip) with no simulcast bookkeeping, so
+/// its output is byte-identical to pre-simulcast builds.
 struct SimulcastSessionConfig {
   bool enabled = false;
   /// When true, `policy` is ignored and the session builds
@@ -100,14 +101,15 @@ struct SessionConfig {
   /// tenants still fault independently; the session's decoder runs
   /// resilient either way, which is byte-identical on clean streams.
   fault::FaultConfig fault{};
-  /// Transport-fed media mode: when enabled, tick_media packetizes the
-  /// clip through an in-session TransportLink (driven by the same fault
-  /// plan, kNetKinds sites) and decodes what survives the jitter buffer
-  /// instead of decoding in-process.  Input Selector NAL deletion moves
-  /// to the sender (shed slices never cost network bytes), and
-  /// transport losses reach the decoder as notify_loss() resync cues.
-  /// With a rate-0 plan the link is the identity function, so the
-  /// decode digest matches the in-process path exactly.
+  /// Transport-fed media: when enabled, tick_media's sender packetizes
+  /// the clip through an in-session TransportLink (driven by the same
+  /// fault plan, kNetKinds sites) and its receiver decodes what survives
+  /// the jitter buffer; otherwise the sender hands units to an identity
+  /// link (pointers into the shared clip).  Input Selector NAL deletion
+  /// runs in the sender either way (shed slices never cost network
+  /// bytes), and transport losses reach the decoder as notify_loss()
+  /// resync cues.  With a rate-0 plan the transport link is the identity
+  /// function too, so the decode digest matches in-process decode.
   net::TransportConfig transport{};
   /// Simulcast layer switching; with transport also enabled,
   /// transport.layers must equal the workload clip's layer count.
@@ -226,9 +228,9 @@ struct SessionEnv {
   /// what it could actually build); sessions never pick above it.
   Rung max_rung = Rung::kFp32;
   /// Trained HDC classifier for the top rung (caller-owned, optional).
-  /// Sessions never call it — the server hands it to the shard
-  /// batchers; it rides in the env because that is the one context the
-  /// caller hands the server.
+  /// Sessions never call it — the server hands it to its batcher; it
+  /// rides in the env because that is the one context the caller hands
+  /// the server.
   const affect::HdcClassifier* hdc = nullptr;
 };
 
@@ -237,11 +239,9 @@ class Session {
   /// `inline_inference` classifies windows synchronously at the sink
   /// (the standalone reference path); the server always passes false.
   /// `start_tick` is the server tick the session is admitted at: the
-  /// session's *local* clock starts there, so in compat scheduling
-  /// (every session runs every server tick) local and server time stay
-  /// equal forever — byte-identical to the pre-shard server — while
-  /// wheel scheduling advances local time only on ticks that actually
-  /// run.
+  /// session's *local* clock starts there and advances only on ticks the
+  /// session actually runs, so an always-on session's local and server
+  /// time stay equal forever.
   Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
           bool inline_inference, std::uint64_t start_tick = 0);
 
@@ -260,13 +260,10 @@ class Session {
   /// rung before any window is staged.
   void pump_audio(std::uint64_t tick, int ladder_pressure = 0);
 
-  /// Moves this tick's staged windows out (server: serial, in session
-  /// order, so batch assembly is deterministic).
-  std::vector<InferenceRequest> take_staged();
-
-  /// Zero-allocation variant of take_staged(): enqueues this tick's
-  /// staged windows directly into `b` (FIFO), leaving the staging ring's
-  /// slots (and their pool blocks' refs, once released) for reuse.
+  /// Enqueues this tick's staged windows into `b` (FIFO; the server
+  /// drains sessions serially in id order, so batch assembly is
+  /// deterministic), leaving the staging ring's slots (and their pool
+  /// blocks' refs, once released) for reuse.
   void drain_staged(InferenceBatcher& b);
 
   /// Delivers one batched classification (seq order per session).
@@ -283,8 +280,7 @@ class Session {
 
   /// Server ticks until this session next needs to run, per its duty
   /// cycle (always 1 with duty_idle_ticks == 0).  Consulted by the
-  /// timer-wheel scheduler after tick_media(); compat scheduling
-  /// ignores it.
+  /// server's timer wheel after tick_media().
   std::uint64_t next_wake_delay() const {
     if (cfg_.duty_idle_ticks == 0) return 1;
     const std::uint64_t runs = local_tick_ - start_tick_;
@@ -293,8 +289,8 @@ class Session {
   }
 
   /// Local (media) tick count: how many ticks this session has actually
-  /// run plus its admission tick.  Equals the server tick under compat
-  /// scheduling.
+  /// run plus its admission tick.  Equals the server tick for an
+  /// always-on session.
   std::uint64_t local_tick() const { return local_tick_; }
 
   /// True when this session's windows can be served from the shared
@@ -353,27 +349,21 @@ class Session {
   void record_result(std::uint64_t seq, double t_end,
                      const affect::ClassificationResult& res);
   void fill_chunk(std::vector<double>& chunk);
-  void decode_pictures(std::size_t budget, const adaptive::ModeConfig& mc);
-  bool decode_unit(const h264::NalUnit& unit);
-  void tick_transport_media(std::size_t slots, const adaptive::ModeConfig& mc,
-                            std::uint64_t tick);
+  /// Sender: walks `slots` display slots of clip_ (wrap, layer choice,
+  /// join, Input Selector deletion) and hands each access unit to the
+  /// link.
+  void send_pictures(std::size_t slots, const adaptive::ModeConfig& mc);
+  void send_unit(const h264::NalUnit& nal, std::size_t layer);
+  /// Receiver: one (loss, layer, generation, NAL) event off the link —
+  /// lane adoption, generation reset, loss cue, fault site, decode.
+  void receive_unit(bool loss, std::uint8_t layer, std::uint32_t generation,
+                    const h264::NalUnit& nal, bool deblock);
+  void decode_unit(const h264::NalUnit& unit);
   /// Evaluates the switch policy for this tick (context vector sampled
   /// once) and applies the downswitch-before-shed override.  Returns
   /// whether this tick still sheds (only when already on the bottom
   /// layer).
   bool sim_request_layer(std::size_t budget, int degrade_level, bool shed);
-  /// Advances one picture boundary: runs the selector, handles layer
-  /// joins (selector rescale, trace, decoder adoption in-process /
-  /// params staging in transport).  Returns the layer to forward and
-  /// sets `joined` when this picture (re)joined a layer — a layer
-  /// change OR a generation wrap — so the transport sender knows to
-  /// ship parameter sets.
-  std::size_t sim_advance_picture(const adaptive::ModeConfig& mc,
-                                  bool transport, bool& joined);
-  void decode_sim_pictures(std::size_t budget, const adaptive::ModeConfig& mc);
-  void tick_sim_transport_media(std::size_t slots,
-                                const adaptive::ModeConfig& mc,
-                                std::uint64_t tick);
   /// Rolls cumulative selector stats into stats_/obs counters (deltas).
   void sim_sync_counters();
 
@@ -396,7 +386,7 @@ class Session {
   /// one per executed tick.  All media timing (audio timestamps, frame
   /// budgets, app-launch cadence, transport ticks) runs on this clock,
   /// so a duty-cycled session behaves per-run exactly like an always-on
-  /// one — and compat scheduling keeps it equal to the server tick.
+  /// one, whose local tick equals the server tick.
   std::uint64_t local_tick_ = 0;
   std::uint64_t start_tick_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -434,38 +424,46 @@ class Session {
   adaptive::DecoderMode policy_mode_ = adaptive::DecoderMode::kStandard;
   adaptive::DecoderMode effective_mode_ = adaptive::DecoderMode::kStandard;
 
-  // Video path.
+  // Video path: a sender walking clip_ and a receiver decoding what the
+  // link releases.  The single-stream clip is a 1-layer clip.
+  const simulcast::SimulcastClip* clip_ = nullptr;
   h264::Decoder decoder_;
   adaptive::InputSelector selector_;
-  std::size_t nal_cursor_ = 0;
+  simulcast::LayerSelector layer_selector_{1, 0};
   double frame_carry_ = 0.0;
+  std::size_t pic_ = 0;           ///< next picture index within the clip
+  std::uint64_t pic_global_ = 0;  ///< pictures walked since admission
+  std::size_t cur_layer_ = 0;     ///< layer the sender is joined to
+  bool layer_valid_ = false;      ///< false forces a (re)join next picture
+  std::uint32_t send_au_ = 0;     ///< access-unit timestamp within generation
+  std::uint32_t send_gen_ = 0;    ///< sender clip-loop count
+  std::uint32_t rx_gen_ = 0;      ///< last generation the receiver decoded
+  std::uint8_t rx_layer_ = 0;     ///< lane the receiver's decoder is tuned to
+  bool rx_layer_valid_ = false;   ///< adopt the first usable lane seen
+  /// Transport link (null unless cfg.transport.enabled).  Access units
+  /// assemble into a reused ring (first au_count_ elements valid); slots
+  /// copy-assign NalUnits so payload capacity is reused across ticks.
+  std::unique_ptr<net::TransportLink> link_;
+  std::vector<h264::NalUnit> au_;
+  std::size_t au_count_ = 0;
+  /// Identity link (in-process media): this tick's sent units as
+  /// pointers into the shared clip, drained by the receiver the same
+  /// tick.  Capacity is reused, so it stops allocating once warm.
+  struct SentUnit {
+    const h264::NalUnit* nal;
+    std::uint32_t generation;
+    std::uint8_t layer;
+  };
+  std::vector<SentUnit> sent_;
 
   // Conference inputs (inert outside a room: energy is tracked but
   // unread, and the role stays kDominant).
   double last_energy_ = 0.0;
   int speaker_role_ = static_cast<int>(simulcast::SpeakerRole::kDominant);
 
-  // Simulcast path (all dormant unless cfg.simulcast.enabled).
-  const simulcast::SimulcastClip* sim_clip_ = nullptr;
-  simulcast::LayerSelector sim_selector_{1, 0};
+  // Simulcast bookkeeping (all dormant unless cfg.simulcast.enabled).
   simulcast::SwitchPolicy sim_policy_;
-  std::size_t sim_pic_ = 0;          ///< next picture index within the clip
-  std::uint64_t sim_pic_global_ = 0; ///< pictures forwarded since admission
-  std::size_t sim_cur_layer_ = 0;    ///< layer the media path is locked to
-  bool sim_layer_valid_ = false;     ///< false forces a (re)join next picture
   std::vector<std::pair<std::uint64_t, std::uint8_t>> layer_trace_;
-
-  // Transport-fed media mode (null unless cfg.transport.enabled).
-  std::unique_ptr<net::TransportLink> link_;
-  std::uint32_t send_au_ = 0;   ///< access-unit timestamp within generation
-  std::uint32_t send_gen_ = 0;  ///< sender clip-loop count
-  std::uint32_t rx_gen_ = 0;    ///< last generation the receiver decoded
-  std::uint8_t rx_layer_ = 0;   ///< lane the receiver's decoder is tuned to
-  bool rx_layer_valid_ = false; ///< adopt the first usable lane seen
-  /// Access-unit assembly ring (first au_count_ elements valid); slots
-  /// copy-assign NalUnits so payload capacity is reused across ticks.
-  std::vector<h264::NalUnit> au_;
-  std::size_t au_count_ = 0;
 
   // App/memory manager path (optional; both null when SessionEnv does
   // not supply a table + catalog).

@@ -28,9 +28,20 @@ SharedWorkload::SharedWorkload(const WorkloadConfig& cfg) : cfg_(cfg) {
                                                  cfg_.quiet_fraction);
   h264::Encoder enc(cfg_.encoder);
   nals_ = h264::unpack_annexb(enc.encode_annexb(source));
-  for (const auto& nal : nals_) {
-    if (h264::is_slice(nal)) ++clip_pictures_;
+  // encode_annexb emits the parameter sets once, ahead of every slice,
+  // so they are the 1-layer clip's params.
+  simulcast::LayerStream stream;
+  for (const h264::NalUnit& nal : nals_) {
+    if (!h264::is_slice(nal)) {
+      stream.params.push_back(nal);
+    } else {
+      stream.slices.push_back(nal);
+      stream.idr.push_back(nal.type == h264::NalType::kSliceIdr);
+    }
   }
+  std::vector<simulcast::LayerStream> layers;
+  layers.push_back(std::move(stream));
+  clip_ = std::make_unique<simulcast::SimulcastClip>(std::move(layers));
 
   if (!cfg_.simulcast.layers.empty()) {
     sim_clip_ = std::make_unique<simulcast::SimulcastClip>(

@@ -83,9 +83,11 @@ class SharedWorkload {
   const WorkloadConfig& config() const { return cfg_; }
   /// Banked utterance samples for an emotion in config().emotions.
   std::span<const double> utterance(affect::Emotion e) const;
+  /// The prototype clip as encoded: SPS, PPS, then one slice per picture.
   const std::vector<h264::NalUnit>& nal_units() const { return nals_; }
-  /// Coded pictures per loop of the clip (slice NAL count).
-  std::size_t clip_pictures() const { return clip_pictures_; }
+  /// The same clip as a 1-layer simulcast clip (params = SPS and PPS):
+  /// what single-stream sessions walk.
+  const simulcast::SimulcastClip& clip() const { return *clip_; }
   /// Aligned multi-layer clip; null unless config().simulcast.layers was
   /// populated.
   const simulcast::SimulcastClip* simulcast_clip() const {
@@ -101,7 +103,7 @@ class SharedWorkload {
   WorkloadConfig cfg_;
   std::vector<std::vector<double>> bank_;  ///< parallel to cfg_.emotions
   std::vector<h264::NalUnit> nals_;
-  std::size_t clip_pictures_ = 0;
+  std::unique_ptr<simulcast::SimulcastClip> clip_;
   std::unique_ptr<simulcast::SimulcastClip> sim_clip_;
 };
 

@@ -164,14 +164,13 @@ TEST(LadderOff, ByteIdenticalToPreLadderServer) {
 
 // ---------------------------------------------------- ladder-on replay
 
-// A sharded, wheel-scheduled, ladder-on fleet under transport loss and
+// A ladder-on fleet with a 64-row batcher under transport loss and
 // seeded faults replays exactly: run twice, byte-compare every report
 // including the rung traces.  The run must actually exercise the cheap
 // rungs for the identity to mean anything.
 TEST(LadderOn, TwoRunLossyReplayIdentity) {
   serve::ServerConfig cfg;
-  cfg.shards = 4;
-  cfg.wheel = true;
+  cfg.batcher.max_batch = 64;
   cfg.ladder = eager_ladder();
   cfg.fault.rate = 0.05;
   cfg.fault.seed = 99;

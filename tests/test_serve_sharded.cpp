@@ -1,12 +1,13 @@
-// Sharded / event-driven serving tests: the scheduling-invariance
-// contract (shards x wheel x work-steal all reproduce the compat run
-// byte-for-byte), two-run replay identity for a lossy sharded fleet,
-// feature-bank-cache byte identity on quantized workloads, duty-cycle
-// transparency on the timer wheel, and the zero-steady-state-allocation
-// pin for the pooled serve path.
+// Event-driven serving tests: two-run replay identity for a lossy
+// fleet, thread-count invariance of a mixed fleet, feature-bank-cache
+// byte identity on quantized workloads, duty-cycle transparency on the
+// timer wheel, and the zero-steady-state-allocation pin for the pooled
+// serve path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "affect/speech_synth.hpp"
@@ -17,9 +18,11 @@
 #include "nn/model.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "serve/server.hpp"
+#include "simulcast/encoder.hpp"
 
 namespace affect = affectsys::affect;
 namespace android = affectsys::android;
+namespace conf = affectsys::conf;
 namespace core = affectsys::core;
 namespace nn = affectsys::nn;
 namespace obs = affectsys::obs;
@@ -147,69 +150,14 @@ testing::AssertionResult reports_identical(const serve::SessionReport& a,
 
 }  // namespace
 
-// ------------------------------------------------- scheduling invariance
+// ------------------------------------------------------- replay identity
 
-namespace {
-
-struct GridOutcome {
-  std::vector<serve::SessionReport> reports;
-  serve::ServerStats stats;
-};
-
-GridOutcome run_grid(std::size_t shards, bool wheel, bool steal) {
-  serve::ServerConfig cfg;
-  cfg.shards = shards;
-  cfg.wheel = wheel;
-  cfg.work_steal = steal;
-  serve::SessionManager server(cfg, world().env());
-  std::vector<serve::SessionId> ids;
-  for (int i = 0; i < 6; ++i) ids.push_back(server.create_session());
-  for (int i = 0; i < 120; ++i) server.tick();
-  server.drain();
-  GridOutcome out;
-  for (const auto id : ids) out.reports.push_back(server.report(id));
-  out.stats = server.stats();
-  return out;
-}
-
-}  // namespace
-
-// The documented contract: shard count, scheduler mode and work-steal
-// are pure work-distribution knobs — every grid point reproduces the
-// shards=1/compat run byte-for-byte, per session.
-TEST(ShardScheduling, ShardWheelStealDigestIdentity) {
-  const GridOutcome base = run_grid(1, /*wheel=*/false, /*steal=*/true);
-  ASSERT_EQ(base.reports.size(), 6u);
-  // The run is non-trivial: windows classified, video decoded.
-  EXPECT_GT(base.reports[0].windows.size(), 10u);
-  EXPECT_GT(base.reports[0].stats.frames_decoded, 100u);
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
-    for (const bool wheel : {false, true}) {
-      for (const bool steal : {false, true}) {
-        const GridOutcome got = run_grid(shards, wheel, steal);
-        ASSERT_EQ(got.reports.size(), base.reports.size());
-        for (std::size_t i = 0; i < base.reports.size(); ++i) {
-          EXPECT_TRUE(reports_identical(got.reports[i], base.reports[i]))
-              << "shards=" << shards << " wheel=" << wheel
-              << " steal=" << steal << " session " << i;
-        }
-        EXPECT_EQ(got.stats.results_routed, base.stats.results_routed)
-            << "shards=" << shards << " wheel=" << wheel
-            << " steal=" << steal;
-      }
-    }
-  }
-}
-
-// A 4-shard wheel-scheduled fleet under transport loss plus server-level
+// A fleet with a 64-row batcher under transport loss plus server-level
 // batcher faults replays exactly: run twice, byte-compare everything.
 TEST(ShardScheduling, ShardedLossyReplayIdentity) {
   const auto run = [] {
     serve::ServerConfig cfg;
-    cfg.shards = 4;
-    cfg.wheel = true;
+    cfg.batcher.max_batch = 64;
     cfg.fault.rate = 0.05;  // server plan: batcher fallback site
     cfg.fault.seed = 99;
     cfg.session.transport.enabled = true;
@@ -251,6 +199,104 @@ TEST(ShardScheduling, ShardedLossyReplayIdentity) {
   EXPECT_GT(total_lost, 0u);
   EXPECT_GT(total_faults, 0u);
   EXPECT_EQ(std::memcmp(&a.stats, &b.stats, sizeof(a.stats)), 0);
+}
+
+// ------------------------------------------------ thread-count invariance
+
+namespace {
+
+struct MixedFleetOutcome {
+  std::vector<serve::SessionReport> reports;
+  std::vector<affectsys::fault::FaultCounts> faults;
+  conf::RoomReport room;
+  serve::ServerStats stats;
+};
+
+/// One server, three kinds of session: two in-process, two over a
+/// lossy transport link, and a 4-member room of simulcast speakers over
+/// lossy links.
+MixedFleetOutcome run_mixed_fleet() {
+  static const serve::SharedWorkload workload([] {
+    serve::WorkloadConfig wc;
+    wc.simulcast = affectsys::simulcast::default_simulcast_config();
+    return wc;
+  }());
+  serve::SessionEnv env = world().env();
+  env.workload = &workload;
+  serve::ServerConfig cfg;
+  serve::SessionManager server(cfg, env);
+
+  serve::SessionConfig lossy = cfg.session;
+  lossy.transport.enabled = true;
+  lossy.transport.fec.enabled = true;
+  lossy.fault.rate = 0.05;
+  lossy.fault.seed = 17;
+  lossy.fault.kinds = affectsys::fault::kNetKinds;
+  serve::SessionConfig speaker = lossy;
+  speaker.simulcast.enabled = true;
+  speaker.transport.layers = static_cast<std::uint8_t>(
+      workload.simulcast_clip()->layer_count());
+
+  std::vector<serve::SessionId> ids;
+  for (int i = 0; i < 2; ++i) ids.push_back(server.create_session());
+  for (unsigned seed : {21u, 22u}) {
+    lossy.seed = seed;
+    ids.push_back(server.create_session(lossy));
+  }
+  const conf::RoomId room = server.create_room();
+  for (unsigned seed : {31u, 32u, 33u, 34u}) {
+    speaker.seed = seed;
+    ids.push_back(server.create_session(speaker, room));
+  }
+  for (int i = 0; i < 80; ++i) server.tick();
+  server.drain();
+
+  MixedFleetOutcome out;
+  for (const auto id : ids) {
+    out.reports.push_back(server.report(id));
+    out.faults.push_back(server.session(id).fault_counts());
+  }
+  out.room = server.room_report(room);
+  out.stats = server.stats();
+  return out;
+}
+
+}  // namespace
+
+// Stages A and C run on the global pool; its size must never change a
+// byte of output.  Same run at 0 (inline), 1, the default and 2x the
+// host's cores.
+TEST(ServeThreads, PoolSizeNeverChangesReports) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<MixedFleetOutcome> runs;
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, core::default_thread_count(), 2 * hw}) {
+    core::set_global_threads(threads);
+    runs.push_back(run_mixed_fleet());
+  }
+  core::set_global_threads(core::default_thread_count());
+
+  const MixedFleetOutcome& base = runs.front();
+  ASSERT_EQ(base.reports.size(), 8u);
+  // The run is non-trivial: video decoded, packets lost, speakers moved.
+  EXPECT_GT(base.reports[0].stats.frames_decoded, 100u);
+  EXPECT_GT(base.reports[2].transport.packets_lost, 0u);
+  EXPECT_GT(base.room.speaker_trace.size(), 1u);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    const MixedFleetOutcome& got = runs[r];
+    ASSERT_EQ(got.reports.size(), base.reports.size());
+    for (std::size_t i = 0; i < base.reports.size(); ++i) {
+      EXPECT_TRUE(reports_identical(got.reports[i], base.reports[i]))
+          << "run " << r << " session " << i;
+      EXPECT_EQ(got.reports[i].layer_trace, base.reports[i].layer_trace)
+          << "run " << r << " session " << i;
+      EXPECT_EQ(got.faults[i].by_kind, base.faults[i].by_kind)
+          << "run " << r << " session " << i;
+    }
+    EXPECT_EQ(got.room, base.room) << "run " << r;
+    EXPECT_EQ(std::memcmp(&got.stats, &base.stats, sizeof(got.stats)), 0)
+        << "run " << r;
+  }
 }
 
 // ------------------------------------------------- feature-bank cache
@@ -318,13 +364,13 @@ TEST(FeatureBank, FaultedSessionDeclinesCache) {
 
 // A duty-cycled session on the wheel (1 active tick, 7 idle) run for
 // 160 server ticks produces *exactly* the output of an always-on
-// compat session run for 20 ticks: local-tick timing makes the idle
-// phases invisible to media behaviour.
+// session run for 20 ticks: local-tick timing makes the idle phases
+// invisible to media behaviour.
 TEST(DutyCycle, IdleTicksAreTransparentToSessionOutput) {
   serve::SessionConfig scfg;
   scfg.seed = 11;
 
-  // Baseline: compat scheduling, always-on, 20 ticks.  max_delay 0 so
+  // Baseline: always-on, 20 ticks.  max_delay 0 so
   // results apply the tick their window is staged — the configuration
   // under which duty transparency is exact (results never span a sleep).
   serve::ServerConfig base_cfg;
@@ -337,9 +383,8 @@ TEST(DutyCycle, IdleTicksAreTransparentToSessionOutput) {
   ASSERT_EQ(base_report.stats.ticks, 20u);
   ASSERT_GT(base_report.windows.size(), 0u);
 
-  // Duty-cycled: wheel scheduling, wakes every 8th server tick.
+  // Duty-cycled: wakes every 8th server tick.
   serve::ServerConfig duty_cfg;
-  duty_cfg.wheel = true;
   duty_cfg.batcher.max_delay_ticks = 0;
   serve::SessionConfig duty = scfg;
   duty.duty_active_ticks = 1;
@@ -371,7 +416,6 @@ TEST(ServeAllocations, SteadyStateIsAllocationFree) {
   core::set_global_threads(0);
 
   serve::ServerConfig cfg;
-  cfg.wheel = true;
   cfg.session.record_trace = false;  // no growing replay log
   // No app manager (its kill policy logs) — audio + video only.
   serve::SessionManager server(

@@ -10,6 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <future>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -206,4 +210,76 @@ TEST(GlobalPool, DefaultThreadCountRespectsBuildFlag) {
 #else
   EXPECT_EQ(core::default_thread_count(), 0u);
 #endif
+}
+
+// ------------------------------------------------------------ process exit
+
+namespace {
+
+/// Holds pool workers until the gate is destroyed.  Its destructor then
+/// waits until every worker is past the queued tasks and exercises the
+/// allocator, so heap damage done by those tasks aborts here instead of
+/// passing unnoticed.
+struct ExitGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+
+  void wait() {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [this] { return open; });
+  }
+  ~ExitGate() {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      open = true;
+    }
+    cv.notify_all();
+    // FIFO queue: these run after every queued helper, and each holds
+    // its worker until all are running, so no helper is still running.
+    core::ThreadPool& pool = core::global_pool();
+    std::latch all(static_cast<std::ptrdiff_t>(pool.size()));
+    std::vector<std::future<void>> done;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      done.push_back(pool.submit([&all] { all.arrive_and_wait(); }));
+    }
+    for (std::future<void>& f : done) f.wait();
+    for (int round = 0; round < 4; ++round) {
+      std::vector<void*> blocks;
+      for (int i = 0; i < 64; ++i) blocks.push_back(std::malloc(16));
+      for (void* b : blocks) std::free(b);
+    }
+  }
+};
+
+}  // namespace
+
+// parallel_for enqueues helpers that stay queued when the caller runs
+// every chunk itself.  The global pool drains them while static objects
+// are destroyed at exit, and each task a worker runs updates pool
+// metrics, so the metrics registry must still be alive then.  The child
+// parks every worker behind a gate constructed before the registry, so
+// the gate is destroyed (and the workers released) only after every
+// static constructed later is gone; the queued helpers run after that.
+TEST(GlobalPool, QueuedHelpersDrainSafelyAtExit) {
+  if (effective(1) == 0) GTEST_SKIP() << "threads compiled out";
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        static ExitGate gate;
+        constexpr std::size_t kWorkers = 4;
+        core::set_global_threads(kWorkers);
+        core::ThreadPool& pool = core::global_pool();
+        std::latch parked(kWorkers);
+        for (std::size_t i = 0; i < kWorkers; ++i) {
+          pool.submit([&parked] {
+            parked.count_down();
+            gate.wait();
+          });
+        }
+        parked.wait();
+        pool.parallel_for(0, 8, 1, [](std::size_t, std::size_t) {});
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
 }

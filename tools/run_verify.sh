@@ -3,12 +3,15 @@
 #
 #   tools/run_verify.sh            # every pass below
 #   tools/run_verify.sh default    # stock build (threads ON) only
+#   tools/run_verify.sh threads    # stock build on a 4-worker pool, tier-1
+#                                  # three times over under parallel ctest
 #   tools/run_verify.sh nothreads  # serial reference (-DAFFECTSYS_THREADS=OFF)
 #   tools/run_verify.sh sanitize   # ASan+UBSan build
 #   tools/run_verify.sh tsan       # TSan build, race-sensitive tests only
 #   tools/run_verify.sh kernels    # Release build: kernel suite + bench
-#   tools/run_verify.sh serve      # session-server suite under TSan (shard
-#                                  # sweep) and Release (+ bench_serve gates)
+#   tools/run_verify.sh serve      # session-server suite under TSan (pool-
+#                                  # size sweep) and Release (+ bench_serve
+#                                  # gates)
 #   tools/run_verify.sh fault      # fuzz suite under ASan+UBSan, TSan and
 #                                  # Release (+ bench_fault overhead gate)
 #   tools/run_verify.sh net        # media-transport suite under ASan+UBSan
@@ -46,6 +49,18 @@ run_pass() {
 }
 
 pass_default()   { run_pass build default tier1; }
+# Threads pass: the default pool size follows the host's cores, so a
+# 1-core host never runs tier-1 on worker threads.  Force four, and
+# repeat every test up to three times under parallel ctest, so
+# thread-count and process-exit bugs show up on any host.
+pass_threads() {
+  echo "=== [threads] configure + build (build) ==="
+  cmake -B build -S .
+  cmake --build build -j "$jobs"
+  echo "=== [threads] ctest -L tier1, AFFECTSYS_NUM_THREADS=4, 3 repeats ==="
+  (cd build && AFFECTSYS_NUM_THREADS=4 ctest --output-on-failure -j "$jobs" \
+     -L tier1 --repeat until-fail:3)
+}
 pass_nothreads() { run_pass build-nothreads nothreads tier1 -DAFFECTSYS_THREADS=OFF; }
 pass_sanitize()  { run_pass build-asan sanitize tier1 -DAFFECTSYS_SANITIZE=ON; }
 # The parallel suites force worker threads via set_global_threads(), so
@@ -81,17 +96,18 @@ pass_kernels() {
 }
 
 # Serve pass: the session-server suite (label "serve") twice — under
-# TSan first, because the sharded scheduler's suite sweeps shards
-# {1,2,4} with work-steal on, which is where cross-shard races would
-# live (the buffer pool's cross-thread release test rides the same
-# label) — then in Release, followed by bench_serve regenerating
-# BENCH_serve.json.  The sustained real-time session counts (active and
-# mostly-idle fleets) are soft-checked against the committed copy (>10%
-# regression fails); bench_serve itself exits nonzero when batched
-# inference loses to per-session forwards at 8 rows, batched/unbatched
-# stop being bit-identical, the sharded+cached configuration drops
-# below 1.5x the global-tick baseline at 32 active sessions, or warm
-# pooled ticks touch the allocator — so those gates need no shell
+# TSan first, because the serve suite sweeps the pool size (0, 1, the
+# default and 2x the cores) over one mixed fleet, which is where
+# cross-session races would live (the buffer pool's cross-thread
+# release test rides the same label) — then in Release, followed by
+# bench_serve regenerating BENCH_serve.json.  The sustained real-time
+# session counts (active and mostly-idle fleets) are soft-checked
+# against the committed copy (>10% regression fails); bench_serve
+# itself exits nonzero when batched inference loses to per-session
+# forwards at 8 rows, batched/unbatched stop being bit-identical, the
+# serving configuration (64-row batcher, feature-bank cache) drops
+# below 1.5x the live-extraction baseline at 32 active sessions, or
+# warm pooled ticks touch the allocator — so those gates need no shell
 # logic.
 pass_serve() {
   run_pass build-tsan serve-tsan serve -DAFFECTSYS_SANITIZE=thread
@@ -264,6 +280,7 @@ pass_conference() {
 
 case "$mode" in
   default)   pass_default ;;
+  threads)   pass_threads ;;
   nothreads) pass_nothreads ;;
   sanitize)  pass_sanitize ;;
   tsan)      pass_tsan ;;
@@ -276,6 +293,7 @@ case "$mode" in
   conference) pass_conference ;;
   all)
     pass_default
+    pass_threads
     pass_nothreads
     pass_sanitize
     pass_tsan
@@ -287,7 +305,7 @@ case "$mode" in
     pass_simulcast
     pass_conference
     ;;
-  *) echo "usage: $0 [default|nothreads|sanitize|tsan|kernels|serve|fault|net|inference|simulcast|conference|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [default|threads|nothreads|sanitize|tsan|kernels|serve|fault|net|inference|simulcast|conference|all]" >&2; exit 2 ;;
 esac
 
 echo "verification passed ($mode)"
