@@ -215,7 +215,6 @@ LadderPoint run_ladder_point(const serve::SessionEnv& env,
 serve::ServerConfig serving_config(bool ladder_on) {
   serve::ServerConfig cfg;
   cfg.batcher.max_batch = 64;
-  cfg.feature_bank_cache = true;
   cfg.ladder.enabled = ladder_on;
   if (ladder_on) {
     // Precision pressure engages well before the frame-shed ladder
@@ -307,9 +306,7 @@ int main(int argc, char** argv) {
 
   // ---- end-to-end: ladder on vs off, sustained real-time sessions.
   std::printf("serving sweep (ladder off vs on)...\n");
-  serve::WorkloadConfig wc;
-  wc.script_quantum_samples = 1600;
-  serve::SharedWorkload workload{wc};
+  serve::SharedWorkload workload{serve::WorkloadConfig{}};
   const auto catalog = android::build_catalog(android::EmulatorSpec{});
   core::AppAffectTable table;
   for (const auto e : {affect::Emotion::kAngry, affect::Emotion::kCalm}) {

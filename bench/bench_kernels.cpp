@@ -31,6 +31,7 @@
 #include "affect/speech_synth.hpp"
 #include "core/thread_pool.hpp"
 #include "h264/deblock.hpp"
+#include "host_info.hpp"
 #include "nn/matrix.hpp"
 #include "obs/json.hpp"
 #include "signal/fft.hpp"
@@ -401,6 +402,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernels");
+  bench::write_host_info(w);
   w.key("feature").begin_object();
   w.key("windows_per_sec").value(feat.opt);
   w.key("ref_windows_per_sec").value(feat.ref);

@@ -1,10 +1,8 @@
 // Session-server capacity sweep: how many concurrent end-to-end
 // sessions (affect stream -> adaptive decode -> app manager) one
 // process sustains in real time, what cross-session batching buys over
-// per-session inference, what the serving configuration (64-row
-// batcher + feature-bank cache) buys over live extraction with the
-// default batcher, and how many mostly-idle duty-cycled sessions the
-// timer wheel carries.  Dumps
+// per-session inference, and how many mostly-idle duty-cycled sessions
+// the timer wheel carries.  Dumps
 // BENCH_serve.json; tools/run_verify.sh `serve` mode regresses
 // sustained_sessions and sustained_idle_sessions against the committed
 // copy.
@@ -25,9 +23,7 @@
 // pending windows through a batched and an unbatched InferenceBatcher)
 // and verifies the two produce bit-identical probabilities before
 // trusting the throughput numbers; the bench fails hard if batching at
-// 8 rows is not a win, or if the serving configuration is not >= 1.5x
-// the baseline at 32 active sessions, since those are the whole point
-// of the serve layer.
+// 8 rows is not a win, since that is the point of the serve layer.
 //
 // Usage: bench_serve [output.json]   (default: BENCH_serve.json)
 #include <algorithm>
@@ -44,6 +40,7 @@
 #include "android/personality.hpp"
 #include "core/affect_table.hpp"
 #include "core/thread_pool.hpp"
+#include "host_info.hpp"
 #include "nn/model.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "obs/json.hpp"
@@ -142,19 +139,10 @@ SweepPoint run_sweep_point(const serve::SessionEnv& env,
   return pt;
 }
 
-/// The serving configuration the sweep measures: a 64-row batcher and
-/// the feature-bank cache.
+/// The serving configuration the sweep measures: a 64-row batcher.
 serve::ServerConfig serving_config() {
   serve::ServerConfig cfg;
   cfg.batcher.max_batch = 64;
-  cfg.feature_bank_cache = true;
-  return cfg;
-}
-
-/// The baseline tick: live feature extraction, default batcher.
-serve::ServerConfig baseline_config() {
-  serve::ServerConfig cfg;
-  cfg.feature_bank_cache = false;
   return cfg;
 }
 
@@ -305,11 +293,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_serve.json";
 
   std::printf("training classifier + synthesizing workload...\n");
-  // Hop-quantized scripts: the feature-bank cache configuration (and
-  // byte-identical to live extraction, which the baseline runs).
-  serve::WorkloadConfig wc;
-  wc.script_quantum_samples = 1600;
-  serve::SharedWorkload workload{wc};
+  serve::SharedWorkload workload{serve::WorkloadConfig{}};
   affect::AffectClassifier classifier = train_classifier();
   const auto catalog = android::build_catalog(android::EmulatorSpec{});
   core::AppAffectTable table;
@@ -338,18 +322,6 @@ int main(int argc, char** argv) {
     if (prefix_realtime) sustained = n;
     sweep.push_back(pt);
   }
-
-  // ---- serving configuration vs baseline at 32 active sessions.
-  const SweepPoint base32 =
-      run_sweep_point(env, baseline_config(), 32, /*admit_per_tick=*/1,
-                      /*warmup_ticks=*/40, /*timed_ticks=*/60);
-  print_point("base  ", base32);
-  const SweepPoint& opt32 = sweep[5];  // counts[5] == 32
-  const double active32_speedup =
-      base32.windows_per_sec > 0.0
-          ? opt32.windows_per_sec / base32.windows_per_sec
-          : 0.0;
-  std::printf("active32 speedup vs baseline: %.2fx\n", active32_speedup);
 
   // ---- idle sweep: mostly-idle duty-cycled fleet on the wheel.
   std::vector<SweepPoint> idle;
@@ -388,18 +360,14 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("serve");
+  bench::write_host_info(w);
   w.key("sustained_sessions").value(static_cast<std::uint64_t>(sustained));
   w.key("sustained_idle_sessions")
       .value(static_cast<std::uint64_t>(sustained_idle));
-  w.key("active32_speedup").value(active32_speedup);
   w.key("steady_state_allocs").value(static_cast<std::int64_t>(steady_allocs));
   w.key("sweep").begin_array();
   for (const SweepPoint& pt : sweep) write_point(w, pt);
   w.end_array();
-  w.key("baseline32").begin_object();
-  w.key("windows_per_sec").value(base32.windows_per_sec);
-  w.key("p99_tick_ms").value(base32.p99_ms);
-  w.end_object();
   w.key("idle_sweep").begin_array();
   for (const SweepPoint& pt : idle) write_point(w, pt);
   w.end_array();
@@ -433,13 +401,6 @@ int main(int argc, char** argv) {
   if (b8.batched_wps <= b8.unbatched_wps) {
     std::fprintf(stderr,
                  "FAIL: batching at 8 rows is not a throughput win\n");
-    return 1;
-  }
-  if (active32_speedup < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: the serving configuration is %.2fx the "
-                 "baseline at 32 sessions (need >= 1.5x)\n",
-                 active32_speedup);
     return 1;
   }
   if (steady_allocs > 0) {

@@ -55,22 +55,6 @@ class FeatureExtractor {
   const nn::Matrix& extract_into(std::span<const double> samples,
                                  FeatureWorkspace& ws) const;
 
-  // Per-frame decomposition of extract_into(), exposed so the serve
-  // layer's feature-bank cache can replay cached rows for frames it
-  // has seen before and compute only boundary frames live.
-  // extract_into() is expressed over these, so cached and live rows
-  // are bit-identical by construction.
-
-  /// Sizes ws (no-op once warm) and zero-fills ws.features.
-  void prepare_workspace(FeatureWorkspace& ws) const;
-  /// Raw (pre-standardization) feature row for one frame_len-sample
-  /// frame; `row` must span feature_dim() values.
-  void compute_frame_row(std::span<const double> frame, std::span<float> row,
-                         FeatureWorkspace& ws) const;
-  /// Per-feature z-score over the first `frames` rows of `out`
-  /// (writing all timesteps() rows), exactly as extract_into() does.
-  void standardize_rows(nn::Matrix& out, std::size_t frames) const;
-
   /// Pre-optimization reference pipeline (frame_signal materialization,
   /// complex-FFT spectra, per-frame vectors).  Kept callable so
   /// bench_kernels measures the optimized path against the pre-PR
@@ -80,6 +64,18 @@ class FeatureExtractor {
   const FeatureConfig& config() const { return cfg_; }
 
  private:
+  // Per-frame decomposition of extract_into().
+
+  /// Sizes ws (no-op once warm) and zero-fills ws.features.
+  void prepare_workspace(FeatureWorkspace& ws) const;
+  /// Raw (pre-standardization) feature row for one frame_len-sample
+  /// frame; `row` must span feature_dim() values.
+  void compute_frame_row(std::span<const double> frame, std::span<float> row,
+                         FeatureWorkspace& ws) const;
+  /// Per-feature z-score over the first `frames` rows of `out`
+  /// (writing all timesteps() rows).
+  void standardize_rows(nn::Matrix& out, std::size_t frames) const;
+
   FeatureConfig cfg_;
   signal::MfccExtractor mfcc_;
 };

@@ -14,9 +14,9 @@
 //     layers.  This is the serve ladder's middle rung.
 //
 // truncate_mantissa() is the companion approximate-storage knob: it
-// zeroes low mantissa bits of stored feature rows (staged windows, the
-// feature-bank cache) so approximate buffers compress/dedupe better,
-// with a hard byte-identity guarantee at 0 bits.
+// zeroes low mantissa bits of stored feature rows (staged windows) so
+// approximate buffers compress/dedupe better, with a hard byte-identity
+// guarantee at 0 bits.
 #pragma once
 
 #include <cstdint>

@@ -71,10 +71,9 @@ struct LadderConfig {
   /// the dwell window.
   std::uint64_t hysteresis_ticks = 10;
   /// Approximate feature storage: low mantissa bits cleared from staged
-  /// feature windows and the shared feature-bank cache
-  /// (nn::truncate_mantissa).  0 (the default) leaves every byte
-  /// untouched — the byte-identity guarantee.  Independent of
-  /// `enabled`: truncation is a storage knob, not a rung.
+  /// feature windows (nn::truncate_mantissa).  0 (the default) leaves
+  /// every byte untouched — the byte-identity guarantee.  Independent
+  /// of `enabled`: truncation is a storage knob, not a rung.
   unsigned truncate_bits = 0;
 };
 

@@ -58,17 +58,6 @@ SessionManager::SessionManager(const ServerConfig& cfg, const SessionEnv& env)
   }
   feature_pool_ptr_ = env_.feature_pool;
 
-  // Shared feature-bank cache: only meaningful for quantized workload
-  // scripts (otherwise it marks itself unusable and sessions extract
-  // live).
-  if (cfg_.feature_bank_cache && env_.feature_cache == nullptr &&
-      env_.workload->config().script_quantum_samples != 0) {
-    feature_cache_ = std::make_unique<FeatureBankCache>(
-        *env_.workload, env_.classifier->feature_config(),
-        cfg_.ladder.truncate_bits);
-    if (feature_cache_->usable()) env_.feature_cache = feature_cache_.get();
-  }
-
   results_.resize(cfg_.batcher.max_batch);
 }
 

@@ -59,7 +59,6 @@
 #include "core/buffer_pool.hpp"
 #include "core/timer_wheel.hpp"
 #include "serve/batcher.hpp"
-#include "serve/feature_cache.hpp"
 #include "serve/session.hpp"
 #include "serve/workload.hpp"
 
@@ -110,10 +109,6 @@ struct ServerConfig {
   /// Server-level fault injection (kBatcherFallback fires here); the
   /// per-session kinds ride in each session's own config.
   fault::FaultConfig fault{};
-  /// Build the shared feature-bank cache for quantized workloads
-  /// (sessions fall back to live extraction when false — byte-identical
-  /// output, the A/B the cache-identity test runs).
-  bool feature_bank_cache = true;
   /// Approximate-inference ladder (serve/ladder.hpp).  Disabled by
   /// default: every window serves on fp32 and the pre-ladder byte
   /// identity holds.  When enabled, the server builds the int8 model
@@ -220,8 +215,6 @@ class SessionManager {
   const ServerConfig& config() const { return cfg_; }
   /// The pool backing staged feature windows (for allocation tests).
   const core::BufferPool& feature_pool() const { return *feature_pool_ptr_; }
-  /// Non-null when the shared feature-bank cache was built and usable.
-  const FeatureBankCache* feature_cache() const { return env_.feature_cache; }
 
  private:
   /// One admitted tenant: the live session plus the quarantine state
@@ -267,14 +260,13 @@ class SessionManager {
   ServerConfig cfg_;
   SessionEnv env_;
 
-  // Pooled feature staging + shared feature-bank cache (built here when
-  // the caller's env leaves them null; env_ is patched to point at them
-  // before any session is created).  Declared BEFORE the batcher and the
-  // session map: sessions' staging rings and the batcher hold
-  // BufferRefs pooled from feature_pool_, so the pool must be destroyed
-  // after them (members destroy in reverse declaration order).
+  // Pooled feature staging (built here when the caller's env leaves it
+  // null; env_ is patched to point at it before any session is
+  // created).  Declared BEFORE the batcher and the session map:
+  // sessions' staging rings and the batcher hold BufferRefs pooled from
+  // feature_pool_, so the pool must be destroyed after them (members
+  // destroy in reverse declaration order).
   std::unique_ptr<core::BufferPool> feature_pool_;
-  std::unique_ptr<FeatureBankCache> feature_cache_;
   core::BufferPool* feature_pool_ptr_ = nullptr;
 
   /// Ladder runtime: the int8 capture of the classifier (built here

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
-
-#include "signal/window.hpp"
 
 namespace affectsys::serve {
 
@@ -71,42 +68,12 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
   chunk_.resize(static_cast<std::size_t>(
       std::llround(cfg_.tick_s * cfg_.realtime.sample_rate_hz)));
 
-  // Integer per-segment sample counts.  Quantized workloads fill these;
-  // for legacy (unquantized) scripts derive them with exactly the
-  // truncating casts fill_chunk historically applied per sample, so the
-  // generated audio is bit-identical either way.
+  // Integer per-segment sample counts (truncated from the seconds at
+  // this session's sample rate), so playback walks whole samples.
   const double rate = cfg_.realtime.sample_rate_hz;
-  seg_start_.reserve(script_.size() + 1);
-  seg_start_.push_back(0);
   for (ScriptSegment& seg : script_) {
-    if (seg.speech_samples == 0 && seg.silence_samples == 0) {
-      seg.speech_samples = static_cast<std::size_t>(seg.speech_s * rate);
-      seg.silence_samples = static_cast<std::size_t>(seg.silence_s * rate);
-    }
-    seg_start_.push_back(seg_start_.back() + seg.speech_samples +
-                         seg.silence_samples);
-  }
-  script_len_ = seg_start_.back();
-
-  // Feature-bank cache eligibility: sink-mode inference, no fault plan
-  // (faulted audio diverges from the script the cache indexes), and
-  // every geometry the frame classifier relies on hop-aligned.
-  if (const FeatureBankCache* cache = env_.feature_cache;
-      cache != nullptr && cache->usable() && !inline_inference_ &&
-      !fault_plan_.enabled() && script_len_ > 0) {
-    const auto& mc = env_.classifier->feature_config().mfcc;
-    bool ok = cache->hop() == mc.hop && cache->frame_len() == mc.frame_len &&
-              cache->feature_dim() == fx_.feature_dim() && mc.hop != 0 &&
-              chunk_.size() % mc.hop == 0 && script_len_ % mc.hop == 0;
-    for (const ScriptSegment& seg : script_) {
-      if (!ok) break;
-      ok = cache->covers(seg.emotion) &&
-           cache->utterance_len(seg.emotion) ==
-               env_.workload->utterance(seg.emotion).size() &&
-           seg.speech_samples % mc.hop == 0 &&
-           (seg.speech_samples + seg.silence_samples) % mc.hop == 0;
-    }
-    use_cache_ = ok;
+    seg.speech_samples = static_cast<std::size_t>(seg.speech_s * rate);
+    seg.silence_samples = static_cast<std::size_t>(seg.silence_s * rate);
   }
 
   if (env_.app_table != nullptr && env_.catalog != nullptr &&
@@ -271,72 +238,11 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
   }
   // Media time runs on the *local* clock, which advances only on ticks
   // that run, so idle phases never appear as capture gaps.
-  samples_pushed_ += chunk_.size();
   pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk_);
 }
 
-// The pipeline emits windows after the whole chunk is buffered, so
-// every window this push produces ends exactly at samples_pushed_ —
-// which pins the window's absolute script position for cached_row().
-const nn::Matrix& Session::extract_features(std::span<const double> window) {
-  if (use_cache_) {
-    const FeatureBankCache& cache = *env_.feature_cache;
-    const std::size_t hop = cache.hop();
-    const std::size_t frame_len = cache.frame_len();
-    const std::size_t start_abs = samples_pushed_ - window.size();
-    if (window.size() <= samples_pushed_ && start_abs % hop == 0) {
-      fx_.prepare_workspace(fx_ws_);
-      nn::Matrix& out = fx_ws_.features;
-      const std::size_t frames =
-          signal::frame_count(window.size(), frame_len, hop);
-      const std::size_t T = std::min(frames, fx_.timesteps());
-      for (std::size_t t = 0; t < T; ++t) {
-        const std::span<float> row = out.row(t);
-        if (t * hop + frame_len <= window.size() &&
-            cached_row(start_abs + t * hop, row)) {
-          ++stats_.feature_rows_cached;
-          continue;
-        }
-        // Boundary (or zero-padded tail) frame: compute live, exactly
-        // as extract_into() would.
-        signal::copy_frame(window, t, hop, fx_ws_.frame);
-        fx_.compute_frame_row(fx_ws_.frame, row, fx_ws_);
-        ++stats_.feature_rows_live;
-      }
-      fx_.standardize_rows(out, T);
-      return out;
-    }
-  }
-  return fx_.extract_into(window, fx_ws_);
-}
-
-bool Session::cached_row(std::size_t abs, std::span<float> row) const {
-  const FeatureBankCache& cache = *env_.feature_cache;
-  const std::size_t frame_len = cache.frame_len();
-  const std::size_t o = abs % script_len_;
-  if (o + frame_len > script_len_) return false;  // wraps the script pass
-  const auto it = std::upper_bound(seg_start_.begin(), seg_start_.end(), o);
-  const std::size_t s = static_cast<std::size_t>(it - seg_start_.begin()) - 1;
-  const ScriptSegment& seg = script_[s];
-  const std::size_t rel = o - seg_start_[s];
-  if (rel < seg.speech_samples) {
-    // Interior-speech frame: the speech span plays the banked utterance
-    // looped modulo its length, so the row is a pure function of the
-    // phase within the utterance.
-    if (o + frame_len > seg_start_[s] + seg.speech_samples) return false;
-    const std::span<const float> src = cache.speech_row(
-        seg.emotion, rel % cache.utterance_len(seg.emotion));
-    std::memcpy(row.data(), src.data(), src.size() * sizeof(float));
-    return true;
-  }
-  if (o + frame_len > seg_start_[s + 1]) return false;
-  const std::span<const float> src = cache.silence_row();
-  std::memcpy(row.data(), src.data(), src.size() * sizeof(float));
-  return true;
-}
-
 void Session::on_window(double t_end, std::span<const double> window) {
-  const nn::Matrix& features = extract_features(window);
+  const nn::Matrix& features = fx_.extract_into(window, fx_ws_);
   ++stats_.windows_enqueued;
   c_windows_->add(1);
   if (inline_inference_) {

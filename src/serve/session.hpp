@@ -42,7 +42,6 @@
 #include "obs/metrics.hpp"
 #include "power/device.hpp"
 #include "serve/batcher.hpp"
-#include "serve/feature_cache.hpp"
 #include "serve/ladder.hpp"
 #include "serve/workload.hpp"
 #include "simulcast/policy.hpp"
@@ -151,9 +150,6 @@ struct SessionStats {
   std::uint64_t packets_lost = 0;       ///< dropped by the channel
   std::uint64_t packets_recovered = 0;  ///< rebuilt by FEC in time
   std::uint64_t nals_lost = 0;          ///< loss events fed to notify_loss
-  // Feature-bank cache effectiveness (both zero when the cache is off).
-  std::uint64_t feature_rows_cached = 0;  ///< rows copied from the bank cache
-  std::uint64_t feature_rows_live = 0;    ///< rows computed by the extractor
   // Inference-ladder exposure (windows_int8/hdc/rung_switches all zero
   // when the ladder is off; windows_fp32 then equals windows_enqueued
   // for sink-mode sessions).
@@ -212,12 +208,6 @@ struct SessionEnv {
   /// Both null disables app-manager traffic.
   const core::AppAffectTable* app_table = nullptr;
   const std::vector<android::App>* catalog = nullptr;
-  /// Optional feature-bank cache (must have been built from the
-  /// classifier's FeatureConfig).  Sessions use it only when its
-  /// geometry aligns with their audio cadence AND fault injection is
-  /// off (faulted audio diverges from the script the cache indexes);
-  /// otherwise they extract live, byte-identically.
-  const FeatureBankCache* feature_cache = nullptr;
   /// Optional pool backing staged feature windows; null falls back to
   /// per-request heap buffers (same bytes, more allocator traffic).
   core::BufferPool* feature_pool = nullptr;
@@ -293,9 +283,6 @@ class Session {
   /// always-on session.
   std::uint64_t local_tick() const { return local_tick_; }
 
-  /// True when this session's windows can be served from the shared
-  /// feature-bank cache (geometry aligned, faults off).
-  bool using_feature_cache() const { return use_cache_; }
   /// Windows at the batcher with no result applied yet; the quarantine
   /// path must drop exactly this many stale results on arrival.
   std::size_t inflight() const { return inflight_; }
@@ -338,14 +325,6 @@ class Session {
   /// env max_rung), at most once per hysteresis dwell.  No-op with the
   /// ladder off.
   void update_rung(int ladder_pressure);
-  /// Feature matrix for one window: the bank-cache assembly when
-  /// use_cache_ (byte-identical by construction), extract_into()
-  /// otherwise.  Returned reference lives in fx_ws_.
-  const nn::Matrix& extract_features(std::span<const double> window);
-  /// Copies the cached raw row for the frame starting at absolute
-  /// script sample `abs` into `row`; false when the frame straddles a
-  /// segment/speech boundary (caller computes it live).
-  bool cached_row(std::size_t abs, std::span<float> row) const;
   void record_result(std::uint64_t seq, double t_end,
                      const affect::ClassificationResult& res);
   void fill_chunk(std::vector<double>& chunk);
@@ -396,12 +375,6 @@ class Session {
   /// free once warm.
   std::vector<InferenceRequest> staged_;
   std::size_t staged_count_ = 0;
-
-  // Feature-bank cache state (all unused when use_cache_ is false).
-  bool use_cache_ = false;
-  std::uint64_t samples_pushed_ = 0;  ///< total samples handed to the pipeline
-  std::vector<std::size_t> seg_start_;  ///< script-sample prefix sums (n+1)
-  std::size_t script_len_ = 0;          ///< samples per full script pass
 
   // Fault injection (plan disabled unless cfg.fault.rate > 0).
   fault::FaultPlan fault_plan_;

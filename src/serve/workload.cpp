@@ -1,7 +1,5 @@
 #include "serve/workload.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <random>
 #include <stdexcept>
 
@@ -69,20 +67,6 @@ std::vector<ScriptSegment> SharedWorkload::make_script(
     seg.emotion = cfg_.emotions[pick(rng)];
     seg.speech_s = speech(rng);
     seg.silence_s = silence(rng);
-    if (const std::size_t q = cfg_.script_quantum_samples; q != 0) {
-      // Quantized script: segment lengths become whole quanta (speech
-      // keeps at least one so every segment still speaks), and the
-      // seconds fields are re-derived so both views agree.
-      const double rate = cfg_.sample_rate_hz;
-      const auto quanta = [&](double seconds) {
-        return static_cast<std::size_t>(
-            std::llround(seconds * rate / static_cast<double>(q)));
-      };
-      seg.speech_samples = std::max<std::size_t>(1, quanta(seg.speech_s)) * q;
-      seg.silence_samples = quanta(seg.silence_s) * q;
-      seg.speech_s = static_cast<double>(seg.speech_samples) / rate;
-      seg.silence_s = static_cast<double>(seg.silence_samples) / rate;
-    }
     script.push_back(seg);
   }
   return script;

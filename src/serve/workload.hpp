@@ -40,15 +40,6 @@ struct WorkloadConfig {
   h264::VideoConfig video{64, 64, 48, 1.2, 0.6, 2.5, 77};
   h264::EncoderConfig encoder{64, 64, 24, 12, 2, 4, true};
   double quiet_fraction = 0.25;
-  /// When nonzero, make_script() rounds every segment's speech and
-  /// silence length to a whole number of this many samples (speech to at
-  /// least one quantum) and records the exact integer counts in the
-  /// segment.  Aligning the quantum to the feature hop keeps every
-  /// speech/silence boundary on a frame boundary, which is what lets
-  /// the serve layer's feature-bank cache classify frames by script
-  /// phase.  0 (the default) leaves scripts exactly as previous
-  /// releases generated them.
-  std::size_t script_quantum_samples = 0;
   /// Simulcast ladder built alongside the single-layer prototype clip.
   /// Layers empty (the default) skips the build entirely; sessions with
   /// SimulcastSessionConfig::enabled require a workload that set this
@@ -62,12 +53,9 @@ struct ScriptSegment {
   affect::Emotion emotion = affect::Emotion::kNeutral;
   double speech_s = 2.0;
   double silence_s = 0.5;
-  /// Exact integer sample counts.  Zero (the unquantized default) means
-  /// "derive from the seconds fields" — the session fills them with the
-  /// same `static_cast<std::size_t>(seconds * rate)` truncation the
-  /// pre-integer code applied per chunk, so playback is digest-
-  /// identical.  make_script() fills them directly when
-  /// WorkloadConfig::script_quantum_samples is set.
+  /// Integer sample counts: make_script() leaves them zero and the
+  /// session fills them as `static_cast<std::size_t>(seconds * rate)`
+  /// at its own sample rate.
   std::size_t speech_samples = 0;
   std::size_t silence_samples = 0;
 };

@@ -32,7 +32,50 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
                    static_cast<double>(len)));
     }
   }
+  twiddle_inv_.reserve(twiddle_.size());
+  for (const std::complex<double>& w : twiddle_) {
+    twiddle_inv_.push_back(std::conj(w));
+  }
 }
+
+namespace {
+
+// The hot loops work on the interleaved doubles of each
+// std::complex<double> array (re at 2k, im at 2k+1, as [complex.numbers]
+// guarantees) and spell every product in the operation order fft.hpp
+// sets out.
+double* as_doubles(std::span<std::complex<double>> s) {
+  return reinterpret_cast<double*>(s.data());
+}
+const double* as_doubles(std::span<const std::complex<double>> s) {
+  return reinterpret_cast<const double*>(s.data());
+}
+
+/// Danielson-Lanczos butterflies over bit-reversed data with the
+/// stage-major twiddle table `tw`.
+void butterflies(double* d, const double* tw, std::size_t n) {
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < n; i += len) {
+      double* lo = d + 2 * i;
+      double* hi = lo + 2 * half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const double wr = tw[2 * k], wi = tw[2 * k + 1];
+        const double xr = hi[2 * k], xi = hi[2 * k + 1];
+        const double vr = xr * wr - xi * wi;
+        const double vi = xr * wi + xi * wr;
+        const double ur = lo[2 * k], ui = lo[2 * k + 1];
+        lo[2 * k] = ur + vr;
+        lo[2 * k + 1] = ui + vi;
+        hi[2 * k] = ur - vr;
+        hi[2 * k + 1] = ui - vi;
+      }
+    }
+    tw += 2 * half;
+  }
+}
+
+}  // namespace
 
 void FftPlan::execute(std::span<std::complex<double>> data,
                       bool inverse) const {
@@ -44,22 +87,8 @@ void FftPlan::execute(std::span<std::complex<double>> data,
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  // Danielson-Lanczos butterflies, twiddles from the plan table.
-  const std::complex<double>* w_stage = twiddle_.data();
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n_; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const std::complex<double> w =
-            inverse ? std::conj(w_stage[k]) : w_stage[k];
-        const std::complex<double> u = data[i + k];
-        const std::complex<double> v = data[i + k + half] * w;
-        data[i + k] = u + v;
-        data[i + k + half] = u - v;
-      }
-    }
-    w_stage += half;
-  }
+  butterflies(as_doubles(data), as_doubles(inverse ? twiddle_inv_ : twiddle_),
+              n_);
 }
 
 std::shared_ptr<const FftPlan> FftPlan::cached(std::size_t n) {
@@ -106,13 +135,17 @@ void RfftPlan::execute(std::span<const double> x,
   const std::complex<double> z0 = work[0];
   out[0] = {z0.real() + z0.imag(), 0.0};
   out[half] = {z0.real() - z0.imag(), 0.0};
+  const double* z = as_doubles(work);
+  const double* u = as_doubles(unpack_);
+  double* o = as_doubles(out);
   for (std::size_t k = 1; k < half; ++k) {
-    const std::complex<double> zk = work[k];
-    const std::complex<double> zc = std::conj(work[half - k]);
-    const std::complex<double> even = 0.5 * (zk + zc);
-    const std::complex<double> diff = zk - zc;
-    const std::complex<double> odd{0.5 * diff.imag(), -0.5 * diff.real()};
-    out[k] = even + unpack_[k] * odd;
+    const double zr = z[2 * k], zi = z[2 * k + 1];
+    const double cr = z[2 * (half - k)], ci = -z[2 * (half - k) + 1];
+    const double er = 0.5 * (zr + cr), ei = 0.5 * (zi + ci);
+    const double odr = 0.5 * (zi - ci), odi = -0.5 * (zr - cr);
+    const double ur = u[2 * k], ui = u[2 * k + 1];
+    o[2 * k] = er + (ur * odr - ui * odi);
+    o[2 * k + 1] = ei + (ur * odi + ui * odr);
   }
 }
 
@@ -128,12 +161,20 @@ void RfftPlan::inverse(std::span<const std::complex<double>> spec,
   // sequence Z[k] = E[k] + i*O[k] is the forward half-size FFT of
   // z[j] = x[2j] + i*x[2j+1], so one inverse half-size FFT (scaled by
   // 2/N) recovers the interleaved signal.
+  const double* x = as_doubles(spec);
+  const double* u = as_doubles(unpack_);
+  double* w = as_doubles(work);
   for (std::size_t k = 0; k < half; ++k) {
-    const std::complex<double> xk = spec[k];
-    const std::complex<double> xc = std::conj(spec[half - k]);
-    const std::complex<double> even = 0.5 * (xk + xc);
-    const std::complex<double> odd = std::conj(unpack_[k]) * (0.5 * (xk - xc));
-    work[k] = even + std::complex<double>(-odd.imag(), odd.real());
+    const double xr = x[2 * k], xi = x[2 * k + 1];
+    const double cr = x[2 * (half - k)], ci = -x[2 * (half - k) + 1];
+    const double er = 0.5 * (xr + cr), ei = 0.5 * (xi + ci);
+    const double dr = 0.5 * (xr - cr), di = 0.5 * (xi - ci);
+    // conj(unpack_[k]) * d, the conjugate's sign carried by the sums.
+    const double ur = u[2 * k], ui = u[2 * k + 1];
+    const double odr = ur * dr + ui * di;
+    const double odi = ur * di - ui * dr;
+    w[2 * k] = er - odi;
+    w[2 * k + 1] = ei + odr;
   }
   half_->execute(work.first(half), /*inverse=*/true);
   const double scale = 1.0 / static_cast<double>(half);

@@ -3,6 +3,37 @@
 // This is the lowest layer of the DSP substrate used by the affect
 // classifier front-end (MFCC, spectral magnitude).  Only power-of-two
 // transform sizes are supported; callers zero-pad via next_pow2().
+//
+// Hot loops and std::complex.  The three loops every spectral feature
+// runs through (FftPlan's butterflies, RfftPlan's Hermitian unpack and
+// its inverse pack) do explicit real arithmetic on the interleaved
+// doubles instead of calling std::complex operator*.  That operator
+// follows C Annex G: a product whose two parts both come out NaN is
+// recomputed by a __muldc3 library call, which recovers infinities.
+// The test and the call keep the compiler from vectorizing the loop;
+// without them the butterflies vectorize.
+//
+// Operation-order rule, which keeps the results equal: spell each
+// product a*b the way GCC lowers the complex multiply,
+//   re = a.re*b.re - a.im*b.im,   im = a.re*b.im + a.im*b.re,
+// and never negate a factor.  With FMA contraction on (GCC's default
+// for C++ on FMA targets) the compiler fuses one product of each sum
+// and rounds the other; the same spelling fuses the same product, so
+// FftPlan forward and inverse equal the std::complex loop bit for bit
+// (tests/test_kernels.cpp holds that loop as the oracle).  A negated
+// factor broke this: spelling the inverse butterfly with wi = -w.im
+// let GCC fold the negation and fuse the other product, which the
+// oracle caught.  So the inverse transform reads a conjugated twiddle
+// table, and RfftPlan::inverse carries its conjugate's sign in the
+// sums.  RfftPlan is held to tolerances, not to the old bits: the old
+// unpack's rounding depended on the inlining context it was compiled
+// in.  std::fma is not used: without AFFECTSYS_ARCH_V3 it is a libm
+// call, and there both sides round every product anyway.
+//
+// The one behaviour difference: for non-finite input (or a product
+// that overflows) NaN propagates where Annex G would have recovered an
+// infinity.  Served audio is always finite: the synthesizer's output,
+// and audio faults only drop, zero, clamp or sample-and-hold samples.
 #pragma once
 
 #include <complex>
@@ -17,13 +48,14 @@ namespace affectsys::signal {
 std::size_t next_pow2(std::size_t n);
 
 /// Precomputed transform of one power-of-two size: the bit-reversal
-/// permutation and per-stage twiddle tables.  Each twiddle is generated
-/// directly as exp(-2*pi*i*k/len) (std::polar), not via the
-/// multiplicative `w *= wlen` recurrence the unplanned kernel used —
-/// that recurrence accumulates one rounding error per butterfly, which
-/// shows up as ~1e-10-level drift in long transforms.  Feature
-/// extraction calls the FFT once per analysis window, so planning also
-/// removes every per-call cos/sin evaluation from the hot path.
+/// permutation and per-stage twiddle tables (forward and conjugate).
+/// Each twiddle is generated directly as exp(-2*pi*i*k/len)
+/// (std::polar), not via the multiplicative `w *= wlen` recurrence the
+/// unplanned kernel used — that recurrence accumulates one rounding
+/// error per butterfly, which shows up as ~1e-10-level drift in long
+/// transforms.  Feature extraction calls the FFT once per analysis
+/// window, so planning also removes every per-call cos/sin evaluation
+/// from the hot path.
 ///
 /// The plan is immutable after construction; execute() is const and
 /// safe to share across pool threads.
@@ -55,9 +87,11 @@ class FftPlan {
   std::size_t n_;
   std::vector<std::uint32_t> bitrev_;
   /// Stage-major forward twiddles: for each len = 2,4,...,n the len/2
-  /// factors exp(-2*pi*i*k/len); n-1 entries total.  The inverse
-  /// transform conjugates on the fly.
+  /// factors exp(-2*pi*i*k/len); n-1 entries total.
   std::vector<std::complex<double>> twiddle_;
+  /// Their conjugates, for the inverse: both directions then run the
+  /// same butterfly loop, with no per-butterfly conj.
+  std::vector<std::complex<double>> twiddle_inv_;
 };
 
 /// Real-input FFT plan: an N-point real transform computed as an

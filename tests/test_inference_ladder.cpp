@@ -325,11 +325,10 @@ TEST(Hdc, TailGeometriesAreDeterministic) {
 
 // ------------------------------------------------ approximate storage
 
-// truncate_bits == 0 is a byte-identity guarantee, with the cache on or
-// off; truncated runs are still deterministic (two-run identity).
+// truncate_bits == 0 is a byte-identity guarantee; truncated runs are
+// still deterministic (two-run identity).
 TEST(Truncation, ZeroBitsIsByteIdenticalAndLossyRunsReplay) {
   serve::ServerConfig base_cfg;
-  base_cfg.feature_bank_cache = true;
   const FleetOutcome base = run_fleet(base_cfg, world().env(false), 3, 120);
 
   serve::ServerConfig zero_cfg = base_cfg;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <numbers>
 #include <random>
 #include <stdexcept>
@@ -40,7 +41,82 @@ std::vector<double> make_signal(std::size_t n, unsigned seed) {
   return x;
 }
 
+/// The butterfly loop FftPlan ran before its hot loops moved to explicit
+/// real arithmetic: std::complex operator* (with its Annex G NaN
+/// fallback) and a per-butterfly conj select, over bit-reversed `data`
+/// and the plan's stage-major twiddles.  This loop's rounding depends on
+/// how it is compiled, so the attributes pin it to FftPlan::execute's old
+/// form: noipa keeps it one out-of-line function with a run-time
+/// `inverse` (inlined or cloned per direction, the compiler may fuse the
+/// other product of the complex multiply into its FMA), and TSan
+/// instrumentation, which also changes its rounding, is left out.
+[[gnu::noipa, gnu::no_sanitize("thread")]] void oracle_butterflies(
+    std::complex<double>* data, std::size_t n,
+    const std::complex<double>* w_stage, bool inverse) {
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::complex<double> w =
+            inverse ? std::conj(w_stage[k]) : w_stage[k];
+        const std::complex<double> u = data[i + k];
+        const std::complex<double> v = data[i + k + half] * w;
+        data[i + k] = u + v;
+        data[i + k + half] = u - v;
+      }
+    }
+    w_stage += half;
+  }
+}
+
+/// Oracle transform: the same bit-reversal and std::polar twiddles as
+/// the plan, so any difference from FftPlan is the butterfly loop.
+void oracle_fft(std::vector<std::complex<double>>& data, bool inverse) {
+  const std::size_t n = data.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  std::vector<std::complex<double>> twiddle;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      twiddle.push_back(std::polar(1.0, -2.0 * std::numbers::pi *
+                                            static_cast<double>(k) /
+                                            static_cast<double>(len)));
+    }
+  }
+  oracle_butterflies(data.data(), n, twiddle.data(), inverse);
+}
+
 }  // namespace
+
+// --- Complex FFT ----------------------------------------------------------
+
+// The plan's real-arithmetic butterflies spell each product the way the
+// compiler lowers the complex multiply, so on finite input they equal
+// the std::complex loop exactly, forward and inverse, at every size.
+TEST(FftPlan, ButterfliesEqualComplexOracleExactly) {
+  std::mt19937 rng(2024);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    std::vector<std::complex<double>> x(n);
+    for (auto& c : x) c = {val(rng), val(rng)};
+    const signal::FftPlan plan(n);
+    for (const bool inverse : {false, true}) {
+      std::vector<std::complex<double>> got = x;
+      std::vector<std::complex<double>> want = x;
+      plan.execute(got, inverse);
+      oracle_fft(want, inverse);
+      std::size_t mismatches = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (std::memcmp(&got[k], &want[k], sizeof(got[k])) != 0) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
 
 // --- Real-input FFT -------------------------------------------------------
 

@@ -1,8 +1,7 @@
 // Event-driven serving tests: two-run replay identity for a lossy
-// fleet, thread-count invariance of a mixed fleet, feature-bank-cache
-// byte identity on quantized workloads, duty-cycle transparency on the
-// timer wheel, and the zero-steady-state-allocation pin for the pooled
-// serve path.
+// fleet, thread-count invariance of a mixed fleet, duty-cycle
+// transparency on the timer wheel, and the zero-steady-state-allocation
+// pin for the pooled serve path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,28 +29,16 @@ namespace serve = affectsys::serve;
 
 namespace {
 
-/// Shared across every test in this file: one classifier, one plain
-/// workload (the PR 4/6 configuration) and one hop-quantized workload
-/// (the feature-bank-cache configuration).  All immutable after
-/// construction.
+/// Shared across every test in this file: one classifier and one
+/// workload, both immutable after construction.
 struct ShardWorld {
-  serve::SharedWorkload workload;        ///< unquantized scripts
-  serve::SharedWorkload quantized;       ///< scripts snapped to the hop
+  serve::SharedWorkload workload;
   affect::AffectClassifier classifier;
   std::vector<android::App> catalog;
   core::AppAffectTable table;
 
-  static serve::WorkloadConfig quantized_config() {
-    serve::WorkloadConfig wc;
-    // One tick of audio (0.1 s at 16 kHz) = 1600 samples = 10 hops:
-    // every speech/silence boundary lands on a frame boundary.
-    wc.script_quantum_samples = 1600;
-    return wc;
-  }
-
   ShardWorld()
       : workload(serve::WorkloadConfig{}),
-        quantized(quantized_config()),
         classifier([] {
           affect::CorpusProfile prof;
           prof.name = "serve-sharded";
@@ -73,9 +60,9 @@ struct ShardWorld {
     }
   }
 
-  serve::SessionEnv env(bool use_quantized = false, bool with_apps = true) {
+  serve::SessionEnv env(bool with_apps = true) {
     serve::SessionEnv env;
-    env.workload = use_quantized ? &quantized : &workload;
+    env.workload = &workload;
     env.classifier = &classifier;
     if (with_apps) {
       env.app_table = &table;
@@ -111,12 +98,9 @@ bool windows_bitwise_equal(const std::vector<serve::WindowRecord>& a,
   return true;
 }
 
-/// Full-report byte identity.  `ignore_cache_counters` masks the
-/// feature_rows_{cached,live} split, which is the one legitimate
-/// difference between a cache-on and cache-off run of the same session.
+/// Full-report byte identity.
 testing::AssertionResult reports_identical(const serve::SessionReport& a,
-                                           const serve::SessionReport& b,
-                                           bool ignore_cache_counters = false) {
+                                           const serve::SessionReport& b) {
   if (!windows_bitwise_equal(a.windows, b.windows)) {
     return testing::AssertionFailure() << "window records differ";
   }
@@ -126,14 +110,8 @@ testing::AssertionResult reports_identical(const serve::SessionReport& a,
   if (a.decode_digest != b.decode_digest) {
     return testing::AssertionFailure() << "decode digests differ";
   }
-  serve::SessionStats sa = a.stats;
-  serve::SessionStats sb = b.stats;
-  if (ignore_cache_counters) {
-    sa.feature_rows_cached = sb.feature_rows_cached = 0;
-    sa.feature_rows_live = sb.feature_rows_live = 0;
-  }
   // All-std::uint64_t aggregates: memcmp is exact.
-  if (std::memcmp(&sa, &sb, sizeof(sa)) != 0) {
+  if (std::memcmp(&a.stats, &b.stats, sizeof(a.stats)) != 0) {
     return testing::AssertionFailure() << "session stats differ";
   }
   if (std::memcmp(&a.realtime, &b.realtime, sizeof(a.realtime)) != 0) {
@@ -299,67 +277,6 @@ TEST(ServeThreads, PoolSizeNeverChangesReports) {
   }
 }
 
-// ------------------------------------------------- feature-bank cache
-
-// On a hop-quantized workload the shared feature bank serves the bulk
-// of all rows, and the run is byte-identical to live extraction.
-TEST(FeatureBank, QuantizedScriptCacheByteIdentity) {
-  const auto run = [](bool cache) {
-    serve::ServerConfig cfg;
-    cfg.feature_bank_cache = cache;
-    serve::SessionManager server(cfg, world().env(/*use_quantized=*/true));
-    std::vector<serve::SessionId> ids;
-    for (int i = 0; i < 3; ++i) ids.push_back(server.create_session());
-    for (int i = 0; i < 120; ++i) server.tick();
-    server.drain();
-    struct Outcome {
-      std::vector<serve::SessionReport> reports;
-      std::vector<bool> using_cache;
-      bool server_cache = false;
-    } out;
-    out.server_cache = server.feature_cache() != nullptr;
-    for (const auto id : ids) {
-      out.reports.push_back(server.report(id));
-      out.using_cache.push_back(server.session(id).using_feature_cache());
-    }
-    return out;
-  };
-
-  const auto cached = run(true);
-  const auto live = run(false);
-
-  EXPECT_TRUE(cached.server_cache);
-  EXPECT_FALSE(live.server_cache);
-  ASSERT_EQ(cached.reports.size(), live.reports.size());
-  for (std::size_t i = 0; i < cached.reports.size(); ++i) {
-    EXPECT_TRUE(cached.using_cache[i]) << "session " << i;
-    EXPECT_FALSE(live.using_cache[i]) << "session " << i;
-    // The cache carries the load...
-    EXPECT_GT(cached.reports[i].stats.feature_rows_cached,
-              cached.reports[i].stats.feature_rows_live)
-        << "session " << i;
-    EXPECT_EQ(live.reports[i].stats.feature_rows_cached, 0u);
-    // ...without changing a single byte of output.
-    EXPECT_TRUE(reports_identical(cached.reports[i], live.reports[i],
-                                  /*ignore_cache_counters=*/true))
-        << "session " << i;
-  }
-}
-
-// Per-session fault plans index real audio, which diverges from the
-// script — such sessions must decline the cache even when it exists.
-TEST(FeatureBank, FaultedSessionDeclinesCache) {
-  serve::ServerConfig cfg;
-  serve::SessionManager server(cfg, world().env(/*use_quantized=*/true));
-  serve::SessionConfig faulty = cfg.session;
-  faulty.seed = 5;
-  faulty.fault.rate = 0.05;
-  const auto clean_id = server.create_session();
-  const auto faulty_id = server.create_session(faulty);
-  EXPECT_TRUE(server.session(clean_id).using_feature_cache());
-  EXPECT_FALSE(server.session(faulty_id).using_feature_cache());
-}
-
 // --------------------------------------------------- duty-cycle wheel
 
 // A duty-cycled session on the wheel (1 active tick, 7 idle) run for
@@ -404,7 +321,7 @@ TEST(DutyCycle, IdleTicksAreTransparentToSessionOutput) {
 
 // ------------------------------------------- zero steady-state allocs
 
-// The pooled serve path (staging ring + buffer pool + feature bank +
+// The pooled serve path (staging ring + buffer pool + feature workspace +
 // batcher scratch + wheel slots + decoder recycling) must stop touching
 // the allocator once warm.  Only meaningful when the global new/delete
 // hooks are compiled in (AFFECTSYS_METRICS).
@@ -419,7 +336,7 @@ TEST(ServeAllocations, SteadyStateIsAllocationFree) {
   cfg.session.record_trace = false;  // no growing replay log
   // No app manager (its kill policy logs) — audio + video only.
   serve::SessionManager server(
-      cfg, world().env(/*use_quantized=*/true, /*with_apps=*/false));
+      cfg, world().env(/*with_apps=*/false));
   for (int i = 0; i < 4; ++i) server.create_session();
 
   // Warm: several clip wraps, window cadence established, every ring,

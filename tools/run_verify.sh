@@ -7,7 +7,8 @@
 #                                  # three times over under parallel ctest
 #   tools/run_verify.sh nothreads  # serial reference (-DAFFECTSYS_THREADS=OFF)
 #   tools/run_verify.sh sanitize   # ASan+UBSan build
-#   tools/run_verify.sh tsan       # TSan build, race-sensitive tests only
+#   tools/run_verify.sh tsan       # TSan build, race-sensitive tests plus
+#                                  # the kernel suite
 #   tools/run_verify.sh kernels    # Release build: kernel suite + bench
 #   tools/run_verify.sh serve      # session-server suite under TSan (pool-
 #                                  # size sweep) and Release (+ bench_serve
@@ -28,9 +29,9 @@
 # build-tsan/ and build-release/ (kernels).  Tests carry the ctest label "tier1"; the sanitized
 # configuration additionally labels them "sanitize", and the
 # concurrency-sensitive suites (thread pool, parallel determinism,
-# async realtime pipeline) carry "tsan", which is all the TSan pass
-# runs — serial suites cannot race and TSan slows them ~10x for
-# nothing.
+# async realtime pipeline) carry "tsan", which the TSan pass runs
+# together with the small "kernels" suite — other serial suites cannot
+# race and TSan slows them ~10x for nothing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,8 +65,10 @@ pass_threads() {
 pass_nothreads() { run_pass build-nothreads nothreads tier1 -DAFFECTSYS_THREADS=OFF; }
 pass_sanitize()  { run_pass build-asan sanitize tier1 -DAFFECTSYS_SANITIZE=ON; }
 # The parallel suites force worker threads via set_global_threads(), so
-# TSan sees real cross-thread traffic even on a single-core host.
-pass_tsan()      { run_pass build-tsan tsan tsan -DAFFECTSYS_SANITIZE=thread; }
+# TSan sees real cross-thread traffic even on a single-core host.  The
+# kernel suite rides along (about a second) so its exactness pins, the
+# FFT oracle among them, hold in every build tree this script makes.
+pass_tsan()      { run_pass build-tsan tsan 'tsan|kernels' -DAFFECTSYS_SANITIZE=thread; }
 
 # Kernel pass: Release build (benchmarks must not time RelWithDebInfo
 # artifacts), the optimized-vs-reference proof suite (label "kernels"),
@@ -104,9 +107,7 @@ pass_kernels() {
 # session counts (active and mostly-idle fleets) are soft-checked
 # against the committed copy (>10% regression fails); bench_serve
 # itself exits nonzero when batched inference loses to per-session
-# forwards at 8 rows, batched/unbatched stop being bit-identical, the
-# serving configuration (64-row batcher, feature-bank cache) drops
-# below 1.5x the live-extraction baseline at 32 active sessions, or
+# forwards at 8 rows, batched/unbatched stop being bit-identical, or
 # warm pooled ticks touch the allocator — so those gates need no shell
 # logic.
 pass_serve() {
