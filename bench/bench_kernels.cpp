@@ -3,7 +3,9 @@
 // zero-allocation feature pipeline vs the allocating complex-FFT path,
 // the strided-pointer deblocker vs the accessor-based one, the
 // register-blocked GEMM micro-kernel vs the k-tiled axpy, and the
-// real-input FFT vs the full complex transform.  Dumps
+// real-input FFT vs the full complex transform — and times H.264
+// decode of the golden CIF clip in ms per picture, deblocking on and
+// off, after checking its digests against the golden test's.  Dumps
 // BENCH_kernels.json; tools/run_verify.sh `kernels` mode regresses
 // windows_per_sec against the committed copy.
 //
@@ -31,6 +33,9 @@
 #include "affect/speech_synth.hpp"
 #include "core/thread_pool.hpp"
 #include "h264/deblock.hpp"
+#include "h264/decoder.hpp"
+#include "h264/encoder.hpp"
+#include "h264_golden_clip.hpp"
 #include "host_info.hpp"
 #include "nn/matrix.hpp"
 #include "obs/json.hpp"
@@ -368,6 +373,44 @@ Pair bench_rfft() {
   return p;
 }
 
+// --- H.264 decode: ms per CIF picture -------------------------------------
+
+struct DecodeTiming {
+  double ms_deblock_on = 0.0;
+  double ms_deblock_off = 0.0;
+};
+
+DecodeTiming bench_h264_decode(bool& ok) {
+  // The golden test's CIF clip and stream: the decode must reproduce the
+  // pinned digests before its timing means anything.
+  const h264::golden::Case& c = h264::golden::kCif;
+  h264::Encoder enc(h264::golden::encoder_config(c));
+  const std::vector<std::uint8_t> stream =
+      enc.encode_annexb(h264::golden::clip(c.width, c.height, c.frames));
+  DecodeTiming t;
+  for (const bool deblock : {true, false}) {
+    std::vector<h264::DecodedPicture> pictures;
+    const double s = min_seconds(
+        [&] {
+          h264::Decoder dec(h264::DecoderConfig{deblock, false});
+          pictures = dec.decode_annexb(stream);
+        },
+        7);
+    const std::uint64_t want = deblock ? c.deblock_on : c.deblock_off;
+    const std::uint64_t got = h264::golden::pictures_digest(pictures);
+    if (got != want) {
+      std::fprintf(stderr,
+                   "h264 decode digest 0x%016llx != golden 0x%016llx "
+                   "(deblock %d)\n",
+                   static_cast<unsigned long long>(got),
+                   static_cast<unsigned long long>(want), deblock ? 1 : 0);
+      ok = false;
+    }
+    (deblock ? t.ms_deblock_on : t.ms_deblock_off) = s * 1e3 / c.frames;
+  }
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -375,18 +418,20 @@ int main(int argc, char** argv) {
   core::set_global_threads(0);  // single-core: time the kernels themselves
   bool ok = true;
 
-  std::printf("[1/6] feature pipeline...\n");
+  std::printf("[1/7] feature pipeline...\n");
   const Pair feat = bench_features(ok);
-  std::printf("[2/6] deblocking...\n");
+  std::printf("[2/7] deblocking...\n");
   const Pair dbk = bench_deblock(ok);
-  std::printf("[3/6] gemm...\n");
+  std::printf("[3/7] gemm...\n");
   const Pair gemm = bench_gemm();
-  std::printf("[4/6] int8 gemm...\n");
+  std::printf("[4/7] int8 gemm...\n");
   const Pair i8 = bench_int8_gemm(ok);
-  std::printf("[5/6] hamming...\n");
+  std::printf("[5/7] hamming...\n");
   const Pair ham = bench_hamming(ok);
-  std::printf("[6/6] rfft...\n");
+  std::printf("[6/7] rfft...\n");
   const Pair rfft = bench_rfft();
+  std::printf("[7/7] h264 decode...\n");
+  const DecodeTiming dec = bench_h264_decode(ok);
   if (!ok) return 1;
 
   // The inference ladder's middle rung only earns its quantization
@@ -433,6 +478,13 @@ int main(int argc, char** argv) {
   w.key("ref_us_per_call").value(rfft.ref);
   w.key("speedup").value(rfft.opt > 0.0 ? rfft.ref / rfft.opt : 0.0);
   w.end_object();
+  w.key("h264_decode").begin_object();
+  w.key("width").value(h264::golden::kCif.width);
+  w.key("height").value(h264::golden::kCif.height);
+  w.key("pictures").value(h264::golden::kCif.frames);
+  w.key("ms_per_picture_deblock_on").value(dec.ms_deblock_on);
+  w.key("ms_per_picture_deblock_off").value(dec.ms_deblock_off);
+  w.end_object();
   w.end_object();
 
   std::ofstream out(out_path);
@@ -455,6 +507,8 @@ int main(int argc, char** argv) {
               ham.opt > 0.0 ? ham.ref / ham.opt : 0.0);
   std::printf("rfft:    %.2f us/call (ref %.2f, %.2fx)\n", rfft.opt, rfft.ref,
               rfft.opt > 0.0 ? rfft.ref / rfft.opt : 0.0);
+  std::printf("decode:  %.3f ms/CIF picture deblock on, %.3f off\n",
+              dec.ms_deblock_on, dec.ms_deblock_off);
   std::printf("wrote %s\n", out_path.c_str());
   return ok ? 0 : 1;
 }

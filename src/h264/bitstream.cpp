@@ -61,6 +61,22 @@ std::uint32_t BitReader::get_bits(unsigned count) {
 }
 
 std::uint32_t BitReader::get_ue() {
+  // Fast path: one big-endian 64-bit peek.  After the shift at least 57
+  // bits of it are stream bits, enough for a code of up to 28 leading
+  // zeros (2 * 28 + 1 bits).  Longer codes, and the last 7 bytes of the
+  // stream, take the bit loop below, which owns the error cases.
+  const std::size_t byte = pos_ / 8;
+  if (data_.size() >= byte + 8) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < 8; ++i) word = (word << 8) | data_[byte + i];
+    word <<= pos_ % 8;
+    const int zeros = std::countl_zero(word);
+    if (zeros <= 28) {
+      const int len = 2 * zeros + 1;
+      pos_ += static_cast<std::size_t>(len);
+      return static_cast<std::uint32_t>((word >> (64 - len)) - 1);
+    }
+  }
   unsigned zeros = 0;
   while (!get_bit()) {
     if (++zeros > 31) throw BitstreamError("get_ue: malformed Exp-Golomb");

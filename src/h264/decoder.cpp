@@ -42,6 +42,44 @@ void store_block(Plane& p, int x0, int y0, int size, const std::uint8_t* in) {
   }
 }
 
+/// Adds the dequantized, inverse-transformed residual of `levels` to the
+/// 4x4 block at `buf` (row stride `stride`), clamping to 8 bits.  Callers
+/// skip blocks without coefficients: their inverse transform is zero.
+void add_residual(const Block4x4& levels, int qp, std::uint8_t* buf,
+                  int stride) {
+  const Block4x4 res = dequantize_inverse(levels, qp);
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 4; ++x) {
+      std::uint8_t& p = buf[y * stride + x];
+      p = clamp_pixel(p + res[y][x]);
+    }
+  }
+}
+
+void count_residual_blocks(std::uint64_t n) {
+  AFFECTSYS_COUNT("h264.residual_blocks_decoded", n);
+}
+
+/// Adds one slice's residual blocks to the h264.residual_blocks_decoded
+/// counter when the slice ends, also when it throws part-way.  One add
+/// per slice instead of one per 4x4 block keeps decoding threads off
+/// the counter's shared cache line.  The constructor looks the counter
+/// up (which may allocate and throw), so the destructor only adds.
+class ResidualBlockPublisher {
+ public:
+  explicit ResidualBlockPublisher(const std::uint64_t& blocks)
+      : blocks_(blocks), start_(blocks) {
+    count_residual_blocks(0);
+  }
+  ResidualBlockPublisher(const ResidualBlockPublisher&) = delete;
+  ResidualBlockPublisher& operator=(const ResidualBlockPublisher&) = delete;
+  ~ResidualBlockPublisher() { count_residual_blocks(blocks_ - start_); }
+
+ private:
+  const std::uint64_t& blocks_;
+  std::uint64_t start_;
+};
+
 }  // namespace
 
 DecodeActivity& DecodeActivity::operator+=(const DecodeActivity& o) {
@@ -124,9 +162,10 @@ YuvFrame Decoder::take_frame() {
     YuvFrame f = std::move(spare_frames_.back());
     spare_frames_.pop_back();
     if (f.width() != width_ || f.height() != height_) continue;  // stale size
-    std::fill(f.y.data.begin(), f.y.data.end(), std::uint8_t{0});
-    std::fill(f.cb.data.begin(), f.cb.data.end(), std::uint8_t{0});
-    std::fill(f.cr.data.begin(), f.cr.data.end(), std::uint8_t{0});
+    // Intra 4x4 reads neighbours that are not reconstructed yet (through
+    // the top-right and edge clamps), so a recycled frame must start
+    // from exactly the fill a fresh one has.
+    f.blank();
     return f;
   }
   return YuvFrame(width_, height_);
@@ -196,6 +235,8 @@ std::optional<DecodedPicture> Decoder::decode_nal_checked(const NalUnit& nal) {
 
 DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
   AFFECTSYS_TIME_SCOPE("h264.decode_ns");
+  const ResidualBlockPublisher publish_residual_blocks(
+      activity_.residual_blocks);
   remove_emulation_prevention_into(nal.payload, rbsp_);
   BitReader br(rbsp_);
 
@@ -233,6 +274,20 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
   std::uint8_t pred[kMbSize * kMbSize];
   std::uint8_t pred_b[kMbSize * kMbSize];
   std::uint8_t pred_cb[64], pred_cr[64], tmp_c[64];
+
+  // The four 4x4 residual blocks of one 8x8 chroma prediction.
+  auto decode_chroma = [&](std::uint8_t* buf) {
+    for (int b = 0; b < 4; ++b) {
+      int nz = 0;
+      const Block4x4 levels = decode_residual_block(br, &nz);
+      ++activity_.residual_blocks;
+      activity_.coefficients += static_cast<std::uint64_t>(nz);
+      if (nz > 0) {
+        ++activity_.iqit_blocks;
+        add_residual(levels, qp, buf + (b / 2) * 4 * 8 + (b % 2) * 4, 8);
+      }
+    }
+  };
 
   for (int mby = 0; mby < mb_rows; ++mby) {
     for (int mbx = 0; mbx < mb_cols; ++mbx) {
@@ -297,37 +352,18 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
             ++activity_.residual_blocks;
             activity_.coefficients += static_cast<std::uint64_t>(nz);
             info.nonzero[static_cast<std::size_t>(by * 4 + bx)] = nz > 0;
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                recon.y.at(x0 + bx * 4 + x, y0 + by * 4 + y) =
-                    clamp_pixel(p4[y * 4 + x] + res[y][x]);
-              }
+            if (nz > 0) {
+              ++activity_.iqit_blocks;
+              add_residual(levels, qp, p4, 4);
             }
+            store_block(recon.y, x0 + bx * 4, y0 + by * 4, 4, p4);
           }
         }
         chroma_mode = static_cast<IntraMode>(br.get_ue() % kNumIntraModes);
         intra_predict(recon.cb, x0 / 2, y0 / 2, 8, chroma_mode, pred_cb);
         intra_predict(recon.cr, x0 / 2, y0 / 2, 8, chroma_mode, pred_cr);
-        auto decode_chroma4 = [&](std::uint8_t* buf) {
-          for (int b = 0; b < 4; ++b) {
-            int nz = 0;
-            const Block4x4 levels = decode_residual_block(br, &nz);
-            ++activity_.residual_blocks;
-            activity_.coefficients += static_cast<std::uint64_t>(nz);
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                const int idx = ((b / 2) * 4 + y) * 8 + (b % 2) * 4 + x;
-                buf[idx] = clamp_pixel(buf[idx] + res[y][x]);
-              }
-            }
-          }
-        };
-        decode_chroma4(pred_cb);
-        decode_chroma4(pred_cr);
+        decode_chroma(pred_cb);
+        decode_chroma(pred_cr);
         store_block(recon.cb, x0 / 2, y0 / 2, 8, pred_cb);
         store_block(recon.cr, x0 / 2, y0 / 2, 8, pred_cr);
         continue;  // MB fully reconstructed
@@ -387,32 +423,13 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
             ++activity_.residual_blocks;
             activity_.coefficients += static_cast<std::uint64_t>(nz);
             info.nonzero[static_cast<std::size_t>(by * 4 + bx)] = nz > 0;
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                const int idx = (by * 4 + y) * kMbSize + bx * 4 + x;
-                pred[idx] = clamp_pixel(pred[idx] + res[y][x]);
-              }
+            if (nz > 0) {
+              ++activity_.iqit_blocks;
+              add_residual(levels, qp, pred + by * 4 * kMbSize + bx * 4,
+                           kMbSize);
             }
           }
         }
-        auto decode_chroma = [&](std::uint8_t* buf) {
-          for (int b = 0; b < 4; ++b) {
-            int nz = 0;
-            const Block4x4 levels = decode_residual_block(br, &nz);
-            ++activity_.residual_blocks;
-            activity_.coefficients += static_cast<std::uint64_t>(nz);
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                const int idx = ((b / 2) * 4 + y) * 8 + (b % 2) * 4 + x;
-                buf[idx] = clamp_pixel(buf[idx] + res[y][x]);
-              }
-            }
-          }
-        };
         decode_chroma(pred_cb);
         decode_chroma(pred_cr);
       }

@@ -122,8 +122,10 @@ class Decoder {
 
   /// Returns a retired frame to the decoder's spare list.  decode_slice
   /// reuses spare frames of the current geometry for reconstruction
-  /// (zero-filled first, so recycled and fresh frames are
-  /// byte-identical) instead of allocating a new YuvFrame per picture.
+  /// instead of allocating a new YuvFrame per picture.  A reused frame is
+  /// first refilled with a fresh frame's blank values (YuvFrame::blank),
+  /// so a recycling decoder outputs the same pictures as one that is
+  /// never handed frames back.
   void recycle(YuvFrame&& frame);
 
   /// Upstream loss report: a transport depacketizer (or any feeder) has
@@ -139,8 +141,8 @@ class Decoder {
  private:
   std::optional<DecodedPicture> decode_nal_checked(const NalUnit& nal);
   DecodedPicture decode_slice(const NalUnit& nal);
-  /// Zero-filled frame at the current geometry, reusing a recycled
-  /// frame's storage when one fits.
+  /// Blank frame at the current geometry (the same bytes as a new
+  /// YuvFrame), reusing a recycled frame's storage when one fits.
   YuvFrame take_frame();
 
   DecoderConfig cfg_;

@@ -1,7 +1,5 @@
 #include "h264/entropy.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace affectsys::h264 {
 
 const int kZigzagRow[16] = {0, 0, 1, 2, 1, 0, 0, 1, 2, 3, 3, 2, 1, 2, 3, 3};
@@ -41,7 +39,6 @@ std::size_t encode_residual_block(BitWriter& bw, const Block4x4& levels) {
 
 Block4x4 decode_residual_block(BitReader& br, int* nonzero_out) {
   Block4x4 out{};
-  AFFECTSYS_COUNT("h264.residual_blocks_decoded", 1);
   const std::uint32_t total = br.get_ue();
   if (total > 16) throw BitstreamError("decode_residual_block: total > 16");
   if (nonzero_out) *nonzero_out = static_cast<int>(total);

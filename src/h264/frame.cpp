@@ -1,27 +1,22 @@
 #include "h264/frame.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace affectsys::h264 {
 
-std::uint8_t Plane::at_clamped(int x, int y) const {
-  x = std::clamp(x, 0, width - 1);
-  y = std::clamp(y, 0, height - 1);
-  return at(x, y);
-}
-
 YuvFrame::YuvFrame(int width, int height)
-    : y(width, height, 16), cb(width / 2, height / 2, 128),
-      cr(width / 2, height / 2, 128) {
+    : y(width, height, kBlankLuma), cb(width / 2, height / 2, kBlankChroma),
+      cr(width / 2, height / 2, kBlankChroma) {
   if (width <= 0 || height <= 0 || width % kMbSize || height % kMbSize) {
     throw std::invalid_argument(
         "YuvFrame: dimensions must be positive multiples of 16");
   }
 }
 
-std::uint8_t clamp_pixel(int v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+void YuvFrame::blank() {
+  std::fill(y.data.begin(), y.data.end(), kBlankLuma);
+  std::fill(cb.data.begin(), cb.data.end(), kBlankChroma);
+  std::fill(cr.data.begin(), cr.data.end(), kBlankChroma);
 }
 
 }  // namespace affectsys::h264

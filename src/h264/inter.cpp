@@ -1,20 +1,66 @@
 #include "h264/inter.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "h264/intra.hpp"  // sad_block
 
 namespace affectsys::h264 {
 
-void motion_compensate(const Plane& ref, int x0, int y0, int size,
-                       MotionVector mv, std::uint8_t* pred) {
-  for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) {
-      pred[y * size + x] = ref.at_clamped(x0 + x + mv.dx, y0 + y + mv.dy);
+namespace {
+
+/// Largest window the half-pel filter reads: the block plus the 6-tap
+/// filter's two samples before and three after, on each axis.
+constexpr int kWin = kMbSize + 5;
+
+void check_block_size(int size, const char* who) {
+  if (size < 1 || size > kMbSize) {
+    throw std::invalid_argument(std::string(who) +
+                                ": size must lie in [1, 16]");
+  }
+}
+
+/// Copies the w x h window of `ref` whose top-left sample is (x, y) into
+/// `out` (row stride w).  Coordinates outside the plane read the nearest
+/// edge sample, as Plane::at_clamped does, but each row is clamped once
+/// and copied whole when it lies inside the plane.
+void fetch_clamped(const Plane& ref, int x, int y, int w, int h,
+                   std::uint8_t* out) {
+  const bool inside = x >= 0 && x + w <= ref.width;
+  for (int r = 0; r < h; ++r) {
+    const std::uint8_t* row =
+        ref.data.data() +
+        static_cast<std::size_t>(std::clamp(y + r, 0, ref.height - 1)) *
+            static_cast<std::size_t>(ref.width);
+    std::uint8_t* dst = out + r * w;
+    if (inside) {
+      std::memcpy(dst, row + x, static_cast<std::size_t>(w));
+    } else {
+      for (int c = 0; c < w; ++c) {
+        dst[c] = row[std::clamp(x + c, 0, ref.width - 1)];
+      }
     }
   }
+}
+
+/// The 6-tap filter (1, -5, 20, 20, -5, 1) over six samples `step`
+/// apart, unrounded and unshifted (scale 32).
+template <typename T>
+int six_tap(const T* p, int step) {
+  return p[0] - 5 * p[step] + 20 * p[2 * step] + 20 * p[3 * step] -
+         5 * p[4 * step] + p[5 * step];
+}
+
+}  // namespace
+
+void motion_compensate(const Plane& ref, int x0, int y0, int size,
+                       MotionVector mv, std::uint8_t* pred) {
+  check_block_size(size, "motion_compensate");
+  fetch_clamped(ref, x0 + mv.dx, y0 + mv.dy, size, size, pred);
 }
 
 void average_predictions(const std::uint8_t* a, const std::uint8_t* b,
@@ -24,59 +70,52 @@ void average_predictions(const std::uint8_t* a, const std::uint8_t* b,
   }
 }
 
-namespace {
-
-/// 6-tap filter over six consecutive integer samples.
-int six_tap(int a, int b, int c, int d, int e, int f) {
-  return a - 5 * b + 20 * c + 20 * d - 5 * e + f;
-}
-
-/// Horizontal half-pel value at integer row y between (x, y) and
-/// (x+1, y), unclipped and unshifted (scale 32).
-int half_h_raw(const Plane& ref, int x, int y) {
-  return six_tap(ref.at_clamped(x - 2, y), ref.at_clamped(x - 1, y),
-                 ref.at_clamped(x, y), ref.at_clamped(x + 1, y),
-                 ref.at_clamped(x + 2, y), ref.at_clamped(x + 3, y));
-}
-
-}  // namespace
-
-std::uint8_t sample_halfpel(const Plane& ref, int hx, int hy) {
-  // Floor division so negative half-pel coordinates resolve correctly.
-  const int x = hx >> 1;
-  const int y = hy >> 1;
-  const bool fx = hx & 1;
-  const bool fy = hy & 1;
-  if (!fx && !fy) return ref.at_clamped(x, y);
-  if (fx && !fy) {
-    return clamp_pixel((half_h_raw(ref, x, y) + 16) >> 5);
-  }
-  if (!fx && fy) {
-    const int v = six_tap(ref.at_clamped(x, y - 2), ref.at_clamped(x, y - 1),
-                          ref.at_clamped(x, y), ref.at_clamped(x, y + 1),
-                          ref.at_clamped(x, y + 2), ref.at_clamped(x, y + 3));
-    return clamp_pixel((v + 16) >> 5);
-  }
-  // Diagonal: 6-tap vertically over horizontal half-pel intermediates.
-  const int j = six_tap(half_h_raw(ref, x, y - 2), half_h_raw(ref, x, y - 1),
-                        half_h_raw(ref, x, y), half_h_raw(ref, x, y + 1),
-                        half_h_raw(ref, x, y + 2), half_h_raw(ref, x, y + 3));
-  return clamp_pixel((j + 512) >> 10);
-}
-
 void motion_compensate_halfpel(const Plane& ref, int x0, int y0, int size,
                                MotionVector mv_half, std::uint8_t* pred) {
-  if ((mv_half.dx & 1) == 0 && (mv_half.dy & 1) == 0) {
-    // Integer vector: plain copy path (fast and bit-identical to the
-    // full-pel compensator).
-    motion_compensate(ref, x0, y0, size, {mv_half.dx >> 1, mv_half.dy >> 1},
-                      pred);
+  check_block_size(size, "motion_compensate_halfpel");
+  // Every sample of the block shares the vector's fractional phase.  The
+  // shift floors, so negative vectors resolve to the sample on the left.
+  const int x = x0 + (mv_half.dx >> 1);
+  const int y = y0 + (mv_half.dy >> 1);
+  const bool fx = mv_half.dx & 1;
+  const bool fy = mv_half.dy & 1;
+  if (!fx && !fy) {
+    fetch_clamped(ref, x, y, size, size, pred);
     return;
   }
-  for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) {
-      pred[y * size + x] = sample_halfpel(ref, 2 * (x0 + x) + mv_half.dx,
-                                          2 * (y0 + y) + mv_half.dy);
+  // The window starts two samples up and left of the block, so output
+  // (r, c) filters window rows/columns r..r+5 and c..c+5.
+  const int n = size + 5;
+  std::uint8_t win[kWin * kWin];
+  fetch_clamped(ref, x - 2, y - 2, n, n, win);
+  if (!fy) {
+    for (int r = 0; r < size; ++r) {
+      const std::uint8_t* s = win + (r + 2) * n;
+      for (int c = 0; c < size; ++c) {
+        pred[r * size + c] = clamp_pixel((six_tap(s + c, 1) + 16) >> 5);
+      }
+    }
+  } else if (!fx) {
+    for (int r = 0; r < size; ++r) {
+      const std::uint8_t* s = win + r * n + 2;
+      for (int c = 0; c < size; ++c) {
+        pred[r * size + c] = clamp_pixel((six_tap(s + c, n) + 16) >> 5);
+      }
+    }
+  } else {
+    // Diagonal (8.4.2.2.1): horizontal half-pel values for all n rows,
+    // kept unrounded, then the vertical filter over them.
+    int mid[kWin * kMbSize];
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < size; ++c) {
+        mid[r * size + c] = six_tap(win + r * n + c, 1);
+      }
+    }
+    for (int r = 0; r < size; ++r) {
+      for (int c = 0; c < size; ++c) {
+        pred[r * size + c] =
+            clamp_pixel((six_tap(mid + r * size + c, size) + 512) >> 10);
+      }
     }
   }
 }
@@ -88,14 +127,14 @@ MotionVector motion_search_halfpel(const Plane& src, const Plane& ref,
   const MotionVector full = motion_search(src, ref, x0, y0, size, range,
                                           &best_sad);
   MotionVector best{2 * full.dx, 2 * full.dy};
-  std::vector<std::uint8_t> pred(static_cast<std::size_t>(size) * size);
+  std::uint8_t pred[kMbSize * kMbSize];
   for (int dy = -1; dy <= 1; ++dy) {
     for (int dx = -1; dx <= 1; ++dx) {
       if (dx == 0 && dy == 0) continue;
       const MotionVector cand{2 * full.dx + dx, 2 * full.dy + dy};
-      motion_compensate_halfpel(ref, x0, y0, size, cand, pred.data());
+      motion_compensate_halfpel(ref, x0, y0, size, cand, pred);
       // Same zero-bias units as the full-pel search (half-pel costs less).
-      const int sad = sad_block(src, x0, y0, size, pred.data()) +
+      const int sad = sad_block(src, x0, y0, size, pred) +
                       (std::abs(cand.dx) + std::abs(cand.dy));
       if (sad < best_sad) {
         best_sad = sad;

@@ -16,7 +16,8 @@ struct MotionVector {
 };
 
 /// Copies the motion-compensated `size`x`size` block at (x0+mv, y0+mv)
-/// from `ref` into `pred` with edge clamping.
+/// from `ref` into `pred` with edge clamping.  `size` must lie in
+/// [1, kMbSize] (std::invalid_argument otherwise).
 void motion_compensate(const Plane& ref, int x0, int y0, int size,
                        MotionVector mv, std::uint8_t* pred);
 
@@ -35,13 +36,13 @@ MotionVector motion_search(const Plane& src, const Plane& ref, int x0,
 // Vectors below are in HALF-PEL units (mv.dx == 3 means +1.5 luma
 // samples).  Half-sample positions are interpolated with the spec's
 // 6-tap filter (1, -5, 20, 20, -5, 1)/32; the diagonal position applies
-// the filter horizontally then vertically, as in 8.4.2.2.1.
+// the filter horizontally then vertically, as in 8.4.2.2.1.  Samples
+// outside the plane read the nearest edge sample.
 
-/// Interpolated luma sample at half-pel resolution.
-/// (hx, hy) are plane coordinates in half-pel units.
-std::uint8_t sample_halfpel(const Plane& ref, int hx, int hy);
-
-/// Motion compensation with a half-pel vector.
+/// Motion compensation with a half-pel vector: `pred` receives the
+/// `size`x`size` block whose top-left sample sits at half-pel position
+/// (2*x0 + mv_half.dx, 2*y0 + mv_half.dy).  `size` must lie in
+/// [1, kMbSize] (std::invalid_argument otherwise).
 void motion_compensate_halfpel(const Plane& ref, int x0, int y0, int size,
                                MotionVector mv_half, std::uint8_t* pred);
 

@@ -2,8 +2,11 @@
 // prevention, NAL packing and entropy coding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "h264/bitstream.hpp"
 #include "h264/entropy.hpp"
@@ -83,6 +86,190 @@ TEST(ExpGolomb, KnownEncodings) {
   ASSERT_GE(bw.bit_count(), 7u);
   h264::BitReader br(bw.bytes());
   EXPECT_EQ(br.get_bits(7), 0b1010011u);
+}
+
+namespace {
+
+/// Bit-at-a-time Exp-Golomb reader: the loop BitReader::get_ue ran for
+/// every code before it gained a 64-bit fast path.
+struct OracleBits {
+  std::span<const std::uint8_t> data;
+  std::size_t pos = 0;
+
+  bool bit() {
+    if (pos >= data.size() * 8) throw h264::BitstreamError("oracle: end");
+    const bool b = (data[pos / 8] >> (7 - pos % 8)) & 1u;
+    ++pos;
+    return b;
+  }
+  std::uint32_t ue() {
+    unsigned zeros = 0;
+    while (!bit()) {
+      if (++zeros > 31) throw h264::BitstreamError("oracle: malformed");
+    }
+    std::uint32_t suffix = 0;
+    for (unsigned i = 0; i < zeros; ++i) {
+      suffix = (suffix << 1) | static_cast<std::uint32_t>(bit());
+    }
+    return (1u << zeros) - 1 + suffix;
+  }
+  std::int32_t se() {
+    const std::uint32_t code = ue();
+    const auto k = static_cast<std::int64_t>((code + 1) / 2);
+    return static_cast<std::int32_t>(code % 2 == 1 ? k : -k);
+  }
+};
+
+/// A reader over `data` advanced to bit `offset`.
+h264::BitReader reader_at(std::span<const std::uint8_t> data,
+                          std::size_t offset) {
+  h264::BitReader br(data);
+  for (std::size_t left = offset; left > 0;) {
+    const auto n = static_cast<unsigned>(std::min<std::size_t>(left, 32));
+    br.get_bits(n);
+    left -= n;
+  }
+  return br;
+}
+
+/// Reads codes from every bit offset of `data` until the stream errs,
+/// comparing each value, the bits consumed and the throw with the oracle.
+/// Returns the number of codes compared.
+template <typename Read, typename ReadOracle>
+std::size_t compare_at_every_offset(std::span<const std::uint8_t> data,
+                                    Read read, ReadOracle read_oracle) {
+  std::size_t codes = 0;
+  for (std::size_t offset = 0; offset <= data.size() * 8; ++offset) {
+    h264::BitReader br = reader_at(data, offset);
+    OracleBits oracle{data, offset};
+    for (;;) {
+      bool oracle_threw = false;
+      std::int64_t want = 0;
+      try {
+        want = read_oracle(oracle);
+      } catch (const h264::BitstreamError&) {
+        oracle_threw = true;
+      }
+      if (oracle_threw) {
+        EXPECT_THROW(read(br), h264::BitstreamError)
+            << data.size() << " bytes, bit " << br.bits_consumed();
+        break;
+      }
+      const std::size_t at = br.bits_consumed();
+      EXPECT_EQ(static_cast<std::int64_t>(read(br)), want)
+          << data.size() << " bytes, bit " << at;
+      EXPECT_EQ(br.bits_consumed(), oracle.pos)
+          << data.size() << " bytes, bit " << at;
+      if (br.bits_consumed() != oracle.pos) break;
+      ++codes;
+    }
+  }
+  return codes;
+}
+
+/// Seeded streams of 0..9 bytes and a few longer ones, mixing written
+/// codes of every length with random and zero-heavy bytes, so reads
+/// start with 0..9 bytes left and prefixes run from 0 to past 31 zeros.
+std::vector<std::vector<std::uint8_t>> seeded_streams() {
+  std::mt19937 rng(4242);
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t len : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 17, 24}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<std::uint8_t> bytes;
+      if (kind == 0) {
+        h264::BitWriter bw;
+        std::uniform_int_distribution<int> bits(0, 32);
+        while (bw.bit_count() < len * 8) {
+          const int b = bits(rng);
+          const std::uint64_t v =
+              b == 32 ? 0xFFFFFFFEull : (rng() & ((1ull << b) - 1));
+          bw.put_ue(static_cast<std::uint32_t>(v));
+        }
+        bytes = bw.take();
+        bytes.resize(len);  // truncates the last code
+      } else {
+        std::uniform_int_distribution<int> byte(0, 255);
+        std::bernoulli_distribution zero(kind == 2 ? 0.7 : 0.0);
+        for (std::size_t i = 0; i < len; ++i) {
+          bytes.push_back(zero(rng) ? std::uint8_t{0}
+                                    : static_cast<std::uint8_t>(byte(rng)));
+        }
+      }
+      out.push_back(std::move(bytes));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(BitIo, UeMatchesBitAtATimeOracleAtEveryOffset) {
+  std::size_t codes = 0;
+  for (const auto& bytes : seeded_streams()) {
+    codes += compare_at_every_offset(
+        bytes, [](h264::BitReader& br) { return br.get_ue(); },
+        [](OracleBits& o) { return o.ue(); });
+  }
+  EXPECT_GT(codes, 1000u);
+}
+
+TEST(BitIo, SeMatchesBitAtATimeOracleAtEveryOffset) {
+  std::size_t codes = 0;
+  for (const auto& bytes : seeded_streams()) {
+    codes += compare_at_every_offset(
+        bytes, [](h264::BitReader& br) { return br.get_se(); },
+        [](OracleBits& o) { return o.se(); });
+  }
+  EXPECT_GT(codes, 1000u);
+}
+
+TEST(BitIo, UeLongestPrefixesAndMalformedCodes) {
+  // 31 leading zeros is the longest legal prefix (ue up to 2^32 - 2);
+  // 32 is malformed and throws even with bits to spare after it.
+  {
+    h264::BitWriter bw;
+    bw.put_ue(0xFFFFFFFEu);
+    bw.put_ue(0x7FFFFFFFu);  // 30 zeros
+    bw.put_ue(5);
+    bw.finish_rbsp();
+    h264::BitReader br(bw.bytes());
+    EXPECT_EQ(br.get_ue(), 0xFFFFFFFEu);
+    EXPECT_EQ(br.get_ue(), 0x7FFFFFFFu);
+    EXPECT_EQ(br.get_ue(), 5u);
+  }
+  // Prefixes of 20..31 zeros at every bit alignment, with all-ones
+  // suffixes: the bits a peek too short for the code would lose.
+  for (unsigned zeros = 20; zeros <= 31; ++zeros) {
+    const auto value = static_cast<std::uint32_t>((2ull << zeros) - 2);
+    for (int align = 0; align < 8; ++align) {
+      h264::BitWriter bw;
+      for (int i = 0; i < align; ++i) bw.put_ue(0);
+      bw.put_ue(value);
+      bw.put_ue(value);
+      bw.finish_rbsp();
+      h264::BitReader br(bw.bytes());
+      for (int i = 0; i < align; ++i) ASSERT_EQ(br.get_ue(), 0u);
+      EXPECT_EQ(br.get_ue(), value) << zeros << " zeros at bit " << align;
+      EXPECT_EQ(br.get_ue(), value) << zeros << " zeros, second code";
+    }
+  }
+  for (const std::size_t zero_bytes : {4u, 5u, 8u}) {
+    std::vector<std::uint8_t> bytes(zero_bytes, 0x00);
+    bytes.resize(zero_bytes + 9, 0xFF);
+    h264::BitReader br(bytes);
+    EXPECT_THROW(br.get_ue(), h264::BitstreamError) << zero_bytes;
+  }
+}
+
+TEST(BitIo, UeTruncatedInsideLastEightBytesThrows) {
+  // A 14-bit code (6 zeros) starting 4 bits before the end of streams of
+  // 1..12 bytes: the fast path must not read it from a short peek.
+  for (std::size_t len = 1; len <= 12; ++len) {
+    std::vector<std::uint8_t> bytes(len, 0xFF);
+    bytes[len - 1] = 0xF0;  // 1111 0000: the code's first 4 zeros
+    h264::BitReader br = reader_at(bytes, len * 8 - 4);
+    EXPECT_THROW(br.get_ue(), h264::BitstreamError) << len;
+  }
 }
 
 TEST(ExpGolomb, FuzzRoundTrip) {

@@ -15,6 +15,8 @@
 #include "h264/sei.hpp"
 #include "h264/testvideo.hpp"
 #include "h264/transform.hpp"
+#include "h264_golden_clip.hpp"
+#include "obs/metrics.hpp"
 
 namespace h264 = affectsys::h264;
 
@@ -360,6 +362,18 @@ TEST(Codec, DisablingDeblockReducesActivityAndQuality) {
 
 // ---------------------------------------------------- half-pel prediction
 
+namespace {
+
+// A 1x1 block at the origin with half-pel vector (hx, hy) is the
+// interpolated sample at half-pel position (hx, hy).
+std::uint8_t halfpel_sample(const h264::Plane& ref, int hx, int hy) {
+  std::uint8_t v = 0;
+  h264::motion_compensate_halfpel(ref, 0, 0, 1, {hx, hy}, &v);
+  return v;
+}
+
+}  // namespace
+
 TEST(HalfPel, IntegerPositionsMatchFullPel) {
   h264::Plane ref(32, 32);
   std::mt19937 rng(21);
@@ -367,7 +381,7 @@ TEST(HalfPel, IntegerPositionsMatchFullPel) {
   for (auto& v : ref.data) v = static_cast<std::uint8_t>(d(rng));
   for (int y = 0; y < 32; ++y) {
     for (int x = 0; x < 32; ++x) {
-      EXPECT_EQ(h264::sample_halfpel(ref, 2 * x, 2 * y), ref.at(x, y));
+      EXPECT_EQ(halfpel_sample(ref, 2 * x, 2 * y), ref.at(x, y));
     }
   }
 }
@@ -381,7 +395,7 @@ TEST(HalfPel, HalfPositionIsSixTapAverage) {
     }
   }
   // Between x=10 (40) and x=11 (44): expect 42.
-  EXPECT_EQ(h264::sample_halfpel(ref, 21, 8), 42);
+  EXPECT_EQ(halfpel_sample(ref, 21, 8), 42);
 }
 
 TEST(HalfPel, RefinementFindsSubpelShift) {
@@ -732,3 +746,78 @@ TEST(Codec, ActivityCounterspopulated) {
   EXPECT_GT(a.intra_mbs, 0u);
   EXPECT_GT(a.inter_mbs + a.skip_mbs, 0u);
 }
+
+// ------------------------------------------------------- decoder contracts
+
+// Intra 4x4 reads samples the current picture has not reconstructed yet
+// (the top-right neighbours of interior blocks, and through the clamp the
+// block's own row in the top macroblock row), so those samples must be
+// the same whether the decoder reconstructs into a new frame or into one
+// handed back through recycle().
+TEST(Decoder, RecycledFramesDecodeLikeFreshOnes) {
+  for (const h264::golden::Case& c :
+       {h264::golden::k64x64, h264::golden::kCif}) {
+    h264::Encoder enc(h264::golden::encoder_config(c));
+    const std::vector<std::uint8_t> stream =
+        enc.encode_annexb(h264::golden::clip(c.width, c.height, c.frames));
+    for (const bool deblock : {true, false}) {
+      h264::Decoder fresh(h264::DecoderConfig{deblock, false});
+      h264::Decoder recycling(h264::DecoderConfig{deblock, false});
+      int pictures = 0, differing = 0;
+      for (const h264::NalUnit& nal : h264::unpack_annexb(stream)) {
+        auto a = fresh.decode_nal(nal);
+        auto b = recycling.decode_nal(nal);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (!a) continue;
+        ++pictures;
+        if (a->frame.y.data != b->frame.y.data ||
+            a->frame.cb.data != b->frame.cb.data ||
+            a->frame.cr.data != b->frame.cr.data) {
+          ++differing;
+        }
+        recycling.recycle(std::move(b->frame));
+      }
+      EXPECT_EQ(pictures, c.frames);
+      EXPECT_EQ(differing, 0) << c.width << "x" << c.height << " deblock "
+                              << deblock;
+    }
+  }
+}
+
+#if defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS
+// The decoder publishes its residual-block count once per slice; the
+// registry total must still equal the activity counter, also for a slice
+// that throws part-way through a macroblock.
+TEST(Decoder, ResidualBlockCounterMatchesActivity) {
+  const affectsys::obs::Counter& counter =
+      affectsys::obs::Registry::global().counter(
+          "h264.residual_blocks_decoded");
+  const h264::golden::Case& c = h264::golden::k64x64;
+  h264::Encoder enc(h264::golden::encoder_config(c));
+  const std::vector<std::uint8_t> stream =
+      enc.encode_annexb(h264::golden::clip(c.width, c.height, c.frames));
+
+  {
+    const std::uint64_t before = counter.value();
+    h264::Decoder dec;
+    EXPECT_EQ(dec.decode_annexb(stream).size(),
+              static_cast<std::size_t>(c.frames));
+    EXPECT_GT(dec.activity().residual_blocks, 0u);
+    EXPECT_EQ(counter.value() - before, dec.activity().residual_blocks);
+  }
+
+  // Parameter sets, then the IDR slice cut at 40% of its payload.
+  const std::vector<h264::NalUnit> units = h264::unpack_annexb(stream);
+  ASSERT_GE(units.size(), 3u);
+  ASSERT_EQ(units[2].type, h264::NalType::kSliceIdr);
+  h264::NalUnit cut = units[2];
+  cut.payload.resize(cut.payload.size() * 2 / 5);
+  const std::uint64_t before = counter.value();
+  h264::Decoder dec;
+  dec.decode_nal(units[0]);
+  dec.decode_nal(units[1]);
+  EXPECT_THROW(dec.decode_nal(cut), h264::DecodeError);
+  EXPECT_GT(dec.activity().residual_blocks, 0u);
+  EXPECT_EQ(counter.value() - before, dec.activity().residual_blocks);
+}
+#endif

@@ -1,12 +1,14 @@
 // Kernel-optimization suite (ctest label "kernels", run by
-// tools/run_verify.sh kernels): proves the optimized kernels this PR
-// introduced against the pre-optimization references they kept callable
-// — bit-identity where the discipline demands it (feature workspace
-// path, strided deblocker), bounded drift where a numerically
-// equivalent algorithm replaced the old one (real-input FFT, blocked
-// GEMM).
+// tools/run_verify.sh kernels): proves the optimized kernels against
+// the pre-optimization references, kept callable or held here as
+// oracles — bit-identity where the discipline demands it (feature
+// workspace path, strided deblocker, FFT butterflies, motion
+// compensation, the codec's golden digests), bounded drift where a
+// numerically equivalent algorithm replaced the old one (real-input
+// FFT, blocked GEMM).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -19,6 +21,8 @@
 #include "affect/features.hpp"
 #include "affect/speech_synth.hpp"
 #include "h264/deblock.hpp"
+#include "h264/inter.hpp"
+#include "h264_golden_clip.hpp"
 #include "nn/matrix.hpp"
 #include "signal/features.hpp"
 #include "signal/fft.hpp"
@@ -380,6 +384,176 @@ TEST(Deblock, StrongAndNormalBranchesBothFire) {
   EXPECT_EQ(frame.y.data, ref.y.data);
   EXPECT_EQ(frame.cb.data, ref.cb.data);
   EXPECT_EQ(frame.cr.data, ref.cr.data);
+}
+
+// --- Motion compensation --------------------------------------------------
+
+namespace {
+
+int oracle_six_tap(int a, int b, int c, int d, int e, int f) {
+  return a - 5 * b + 20 * c + 20 * d - 5 * e + f;
+}
+
+int oracle_half_h_raw(const h264::Plane& ref, int x, int y) {
+  return oracle_six_tap(ref.at_clamped(x - 2, y), ref.at_clamped(x - 1, y),
+                        ref.at_clamped(x, y), ref.at_clamped(x + 1, y),
+                        ref.at_clamped(x + 2, y), ref.at_clamped(x + 3, y));
+}
+
+/// The per-pixel half-pel sampler motion compensation ran before it
+/// moved to a clamped window and a separable filter: every tap an
+/// at_clamped read, the diagonal phase recomputing each horizontal
+/// half-pel row.  (hx, hy) are plane coordinates in half-pel units.
+std::uint8_t oracle_sample_halfpel(const h264::Plane& ref, int hx, int hy) {
+  const int x = hx >> 1;
+  const int y = hy >> 1;
+  const bool fx = hx & 1;
+  const bool fy = hy & 1;
+  if (!fx && !fy) return ref.at_clamped(x, y);
+  if (fx && !fy) {
+    return h264::clamp_pixel((oracle_half_h_raw(ref, x, y) + 16) >> 5);
+  }
+  if (!fx && fy) {
+    const int v = oracle_six_tap(
+        ref.at_clamped(x, y - 2), ref.at_clamped(x, y - 1),
+        ref.at_clamped(x, y), ref.at_clamped(x, y + 1),
+        ref.at_clamped(x, y + 2), ref.at_clamped(x, y + 3));
+    return h264::clamp_pixel((v + 16) >> 5);
+  }
+  const int j = oracle_six_tap(
+      oracle_half_h_raw(ref, x, y - 2), oracle_half_h_raw(ref, x, y - 1),
+      oracle_half_h_raw(ref, x, y), oracle_half_h_raw(ref, x, y + 1),
+      oracle_half_h_raw(ref, x, y + 2), oracle_half_h_raw(ref, x, y + 3));
+  return h264::clamp_pixel((j + 512) >> 10);
+}
+
+void oracle_mc_halfpel(const h264::Plane& ref, int x0, int y0, int size,
+                       h264::MotionVector mv, std::uint8_t* pred) {
+  for (int y = 0; y < size; ++y) {
+    for (int x = 0; x < size; ++x) {
+      pred[y * size + x] = oracle_sample_halfpel(ref, 2 * (x0 + x) + mv.dx,
+                                                 2 * (y0 + y) + mv.dy);
+    }
+  }
+}
+
+void oracle_mc(const h264::Plane& ref, int x0, int y0, int size,
+               h264::MotionVector mv, std::uint8_t* pred) {
+  for (int y = 0; y < size; ++y) {
+    for (int x = 0; x < size; ++x) {
+      pred[y * size + x] = ref.at_clamped(x0 + x + mv.dx, y0 + y + mv.dy);
+    }
+  }
+}
+
+h264::Plane seeded_plane(int w, int h, unsigned seed) {
+  h264::Plane p(w, h);
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> d(0, 255);
+  for (auto& v : p.data) v = static_cast<std::uint8_t>(d(rng));
+  return p;
+}
+
+/// Half-pel vector components for a block of `size` at `origin` on an
+/// axis of `extent` samples: both extremes the decoder accepts (±2^15),
+/// and every full-pel block position from wholly before the plane to
+/// wholly past it, each at both phases.  With the same list on the
+/// other axis this reaches every border and every corner.
+std::vector<int> mv_components(int origin, int extent, int size) {
+  std::vector<int> out = {-(1 << 15), -(1 << 15) + 1, (1 << 15) - 1, 1 << 15};
+  for (int pos = -size - 4; pos <= extent + 4; ++pos) {
+    out.push_back(2 * (pos - origin));
+    out.push_back(2 * (pos - origin) + 1);
+  }
+  return out;
+}
+
+}  // namespace
+
+// The windowed, separable filter performs the same integer operations
+// on the same clamped samples as the per-pixel loop it replaced, so every
+// predicted sample is equal, at every phase, size and border.
+TEST(MotionCompensation, WindowedFilterEqualsPerPixelOracle) {
+  struct Geometry {
+    int w, h;
+  };
+  const Geometry planes[] = {{32, 32}, {48, 24}, {20, 36}, {6, 5}};
+  std::size_t blocks = 0;
+  for (const Geometry g : planes) {
+    const h264::Plane ref =
+        seeded_plane(g.w, g.h, static_cast<unsigned>(g.w * 100 + g.h));
+    for (const int size : {1, 4, 7, 8, 16}) {
+      const int x0 = std::max(0, (g.w - size) / 2);
+      const int y0 = std::max(0, (g.h - size) / 3);
+      const std::vector<int> dxs = mv_components(x0, g.w, size);
+      const std::vector<int> dys = mv_components(y0, g.h, size);
+      std::vector<std::uint8_t> got(static_cast<std::size_t>(size) * size);
+      std::vector<std::uint8_t> want(got.size());
+      for (const int dy : dys) {
+        for (const int dx : dxs) {
+          const h264::MotionVector mv{dx, dy};
+          h264::motion_compensate_halfpel(ref, x0, y0, size, mv, got.data());
+          oracle_mc_halfpel(ref, x0, y0, size, mv, want.data());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0)
+              << g.w << "x" << g.h << " size " << size << " mv (" << dx
+              << ", " << dy << ")";
+          const h264::MotionVector full{dx >> 1, dy >> 1};
+          h264::motion_compensate(ref, x0, y0, size, full, got.data());
+          oracle_mc(ref, x0, y0, size, full, want.data());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0)
+              << g.w << "x" << g.h << " size " << size << " full-pel mv ("
+              << full.dx << ", " << full.dy << ")";
+          ++blocks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(blocks, 0u);
+}
+
+TEST(MotionCompensation, RejectsBlocksLargerThanTheWindow) {
+  const h264::Plane ref = seeded_plane(32, 32, 5);
+  std::vector<std::uint8_t> pred(32 * 32);
+  for (const int size : {-1, 0, h264::kMbSize + 1}) {
+    EXPECT_THROW(h264::motion_compensate_halfpel(ref, 0, 0, size, {1, 1},
+                                                 pred.data()),
+                 std::invalid_argument)
+        << size;
+    EXPECT_THROW(h264::motion_compensate(ref, 0, 0, size, {0, 0}, pred.data()),
+                 std::invalid_argument)
+        << size;
+  }
+}
+
+// --- Codec golden digests -------------------------------------------------
+
+// The encoder and decoder bytes this tree produces on the integer-only
+// clip, pinned: a kernel change that alters one encoded bit or one
+// decoded sample fails here.  The digests were computed before motion
+// compensation, the residual path and the Exp-Golomb reader were
+// optimized, and must not move.
+TEST(CodecGolden, StreamAndDecodedPicturesMatchPinnedDigests) {
+  for (const h264::golden::Case& c :
+       {h264::golden::k64x64, h264::golden::kCif}) {
+    const std::vector<h264::YuvFrame> frames =
+        h264::golden::clip(c.width, c.height, c.frames);
+    h264::Encoder enc(h264::golden::encoder_config(c));
+    const std::vector<std::uint8_t> stream = enc.encode_annexb(frames);
+    const std::uint64_t stream_digest =
+        h264::golden::fnv1a(h264::golden::kFnvOffset, stream);
+    EXPECT_EQ(stream_digest, c.stream) << c.width << "x" << c.height
+                                       << " stream 0x" << std::hex
+                                       << stream_digest;
+    for (const bool deblock : {true, false}) {
+      h264::Decoder dec(h264::DecoderConfig{deblock, false});
+      const std::vector<h264::DecodedPicture> pics = dec.decode_annexb(stream);
+      EXPECT_EQ(pics.size(), static_cast<std::size_t>(c.frames));
+      const std::uint64_t got = h264::golden::pictures_digest(pics);
+      EXPECT_EQ(got, deblock ? c.deblock_on : c.deblock_off)
+          << c.width << "x" << c.height << " deblock " << deblock
+          << " pictures 0x" << std::hex << got;
+    }
+  }
 }
 
 // --- GEMM -----------------------------------------------------------------
