@@ -30,6 +30,7 @@
 #include "conf/room.hpp"
 #include "fault/plan.hpp"
 #include "fault/scenario.hpp"
+#include "host_info.hpp"
 #include "obs/json.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -214,6 +215,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("conference");
+  bench::write_host_info(w);
   w.key("wire").begin_object();
   w.key("speakers").value(static_cast<std::uint64_t>(kSpeakers));
   w.key("all_top_bytes").value(top_bytes);

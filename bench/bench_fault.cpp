@@ -32,6 +32,7 @@
 #include "fault/plan.hpp"
 #include "fault/scenario.hpp"
 #include "h264/decoder.hpp"
+#include "host_info.hpp"
 #include "obs/json.hpp"
 
 using namespace affectsys;
@@ -167,6 +168,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("fault");
+  bench::write_host_info(w);
   w.key("clean").begin_object();
   w.key("strict_mb_per_sec").value(strict_mbs);
   w.key("resilient_rate0_mb_per_sec").value(clean_mbs);

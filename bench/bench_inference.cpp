@@ -35,6 +35,7 @@
 #include "android/personality.hpp"
 #include "core/affect_table.hpp"
 #include "core/thread_pool.hpp"
+#include "host_info.hpp"
 #include "nn/model.hpp"
 #include "nn/quantize.hpp"
 #include "obs/json.hpp"
@@ -353,6 +354,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("inference");
+  bench::write_host_info(w);
   w.key("rungs").begin_object();
   const char* names[] = {"fp32", "int8", "hdc"};
   for (int r = 0; r < 3; ++r) {

@@ -4,9 +4,9 @@
 // snapshot — wall times, windows/sec, NAL filter throughput, decode
 // ns/frame, plus the complete metrics-registry dump.  A fifth phase
 // sweeps the parallel runtime (serial reference plus 1/2/4 pool
-// threads) over the decode, deblock, async-pipeline and GEMM hot paths
-// and writes the comparison to BENCH_parallel.json.  Future PRs regress
-// hot-path performance against these files.
+// threads) over the decode, deblock and GEMM hot paths and writes the
+// comparison to BENCH_parallel.json.  Both files record the host core
+// count and build type.
 //
 // Usage: bench_main [output.json] [parallel.json]
 //        (defaults: BENCH_observability.json, BENCH_parallel.json)
@@ -28,6 +28,7 @@
 #include "h264/decoder.hpp"
 #include "h264/encoder.hpp"
 #include "h264/testvideo.hpp"
+#include "host_info.hpp"
 #include "nn/matrix.hpp"
 #include "nn/model.hpp"
 #include "obs/json.hpp"
@@ -85,7 +86,6 @@ struct ParallelRow {
   std::size_t threads = 0;  ///< 0 = serial (inline) reference
   double decode_ns_per_frame = 0.0;   ///< multi-stream decode throughput
   double deblock_ns_per_frame = 0.0;  ///< 256x256 in-loop filter
-  double windows_per_sec = 0.0;       ///< async affect pipeline
   double gemm_gflops = 0.0;           ///< 256x256x256 float matmul
 };
 
@@ -110,9 +110,7 @@ h264::YuvFrame make_deblock_frame(std::vector<h264::MbInfo>& mb_info) {
 }
 
 ParallelRow run_parallel_row(std::size_t threads,
-                             const std::vector<std::uint8_t>& stream,
-                             affect::AffectClassifier& clf,
-                             const std::vector<affect::Utterance>& audio) {
+                             const std::vector<std::uint8_t>& stream) {
   core::set_global_threads(threads);
   ParallelRow row;
   row.threads = core::global_threads();
@@ -150,29 +148,6 @@ ParallelRow run_parallel_row(std::size_t threads,
       h264::deblock_frame(frame, mb_info, 32);
     }
     row.deblock_ns_per_frame = seconds_since(t0) * 1e9 / kReps;
-  }
-
-  // Affect pipeline: async (pool-backed) when threads > 0, synchronous
-  // reference otherwise; drain() makes the measurement complete.
-  {
-    affect::RealtimeConfig rc;
-    rc.async = threads > 0;
-    rc.max_inflight = 64;
-    affect::RealtimePipeline pipe(clf, rc);
-    const auto t0 = Clock::now();
-    double t = 0.0;
-    for (const auto& utt : audio) {
-      for (std::size_t off = 0; off < utt.samples.size(); off += 1600) {
-        const std::size_t n =
-            std::min<std::size_t>(1600, utt.samples.size() - off);
-        pipe.push_audio(t, {utt.samples.data() + off, n});
-        t += 0.1;
-      }
-    }
-    pipe.drain();
-    const double dt = seconds_since(t0);
-    row.windows_per_sec =
-        static_cast<double>(pipe.stats().windows_considered) / dt;
   }
 
   // GEMM: the classifier-scale dense product, blocked and row-parallel.
@@ -246,9 +221,9 @@ int main(int argc, char** argv) {
 
   // --- Real-time affect pipeline: windows/sec ------------------------------
   std::printf("[2/5] affect pipeline (training a small classifier)...\n");
-  affect::AffectClassifier clf = train_bench_classifier();
-  std::vector<affect::Utterance> bench_audio;
   {
+    affect::AffectClassifier clf = train_bench_classifier();
+    std::vector<affect::Utterance> bench_audio;
     affect::SpeechSynthesizer synth(7);
     for (int u = 0; u < 12; ++u) {
       bench_audio.push_back(synth.synthesize(
@@ -307,7 +282,7 @@ int main(int argc, char** argv) {
   std::vector<ParallelRow> rows;
   for (const std::size_t t : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{4}}) {
-    rows.push_back(run_parallel_row(t, stream, clf, bench_audio));
+    rows.push_back(run_parallel_row(t, stream));
   }
   core::set_global_threads(0);
 
@@ -340,6 +315,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("observability");
+  bench::write_host_info(w);
   w.key("metrics_enabled")
       .value(static_cast<bool>(
 #if defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS
@@ -380,6 +356,7 @@ int main(int argc, char** argv) {
     obs::JsonWriter pw;
     pw.begin_object();
     pw.key("bench").value("parallel");
+    bench::write_host_info(pw);
     pw.key("threads_enabled")
         .value(static_cast<bool>(
 #if defined(AFFECTSYS_THREADS) && AFFECTSYS_THREADS
@@ -396,7 +373,6 @@ int main(int argc, char** argv) {
       pw.key("threads").value(static_cast<std::uint64_t>(r.threads));
       pw.key("decode_ns_per_frame").value(r.decode_ns_per_frame);
       pw.key("deblock_ns_per_frame").value(r.deblock_ns_per_frame);
-      pw.key("windows_per_sec").value(r.windows_per_sec);
       pw.key("gemm_gflops").value(r.gemm_gflops);
       pw.end_object();
     }
@@ -410,10 +386,6 @@ int main(int argc, char** argv) {
     pw.key("deblock").value(widest.deblock_ns_per_frame > 0.0
                                 ? serial.deblock_ns_per_frame /
                                       widest.deblock_ns_per_frame
-                                : 0.0);
-    pw.key("windows").value(serial.windows_per_sec > 0.0
-                                ? widest.windows_per_sec /
-                                      serial.windows_per_sec
                                 : 0.0);
     pw.key("gemm").value(serial.gemm_gflops > 0.0
                              ? widest.gemm_gflops / serial.gemm_gflops
@@ -429,9 +401,9 @@ int main(int argc, char** argv) {
     }
     for (const ParallelRow& r : rows) {
       std::printf("parallel[%zu threads]: decode %.0f ns/f, deblock %.0f "
-                  "ns/f, %.1f win/s, %.2f GFLOP/s\n",
+                  "ns/f, %.2f GFLOP/s\n",
                   r.threads, r.decode_ns_per_frame, r.deblock_ns_per_frame,
-                  r.windows_per_sec, r.gemm_gflops);
+                  r.gemm_gflops);
     }
   }
 

@@ -32,6 +32,7 @@
 #include "fault/plan.hpp"
 #include "fault/scenario.hpp"
 #include "h264/nal.hpp"
+#include "host_info.hpp"
 #include "net/packetizer.hpp"
 #include "net/transport.hpp"
 #include "obs/json.hpp"
@@ -252,6 +253,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("net");
+  bench::write_host_info(w);
   w.key("framing").begin_object();
   w.key("packetize_mb_per_sec").value(pack_mbs);
   w.key("depacketize_mb_per_sec").value(depack_mbs);

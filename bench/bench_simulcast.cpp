@@ -34,6 +34,7 @@
 
 #include "fault/plan.hpp"
 #include "fault/scenario.hpp"
+#include "host_info.hpp"
 #include "net/transport.hpp"
 #include "obs/json.hpp"
 #include "serve/session.hpp"
@@ -214,6 +215,7 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("simulcast");
+  bench::write_host_info(w);
   w.key("encode").begin_object();
   w.key("ladder_pics_per_sec").value(ladder_pps);
   w.key("layers").begin_array();

@@ -47,8 +47,8 @@ DecoderMode degraded_mode(DecoderMode m, int level);
 ///   relaxed              -> DeblockOff
 /// plus sensible defaults for the basic emotions (attention-critical
 /// emotions get Standard, low-arousal ones DeblockOff).
-/// Continuous-policy variant for the circumplex regressor: decoder mode
-/// as a function of graded arousal (attention).  High arousal buys
+/// Continuous-policy variant over the circumplex: decoder mode as a
+/// function of graded arousal (attention).  High arousal buys
 /// quality; deep deactivation buys power.  Thresholds are the natural
 /// quartiles of the arousal axis.
 DecoderMode mode_for_circumplex(const affect::CircumplexPoint& p);

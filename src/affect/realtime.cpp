@@ -1,9 +1,5 @@
 #include "affect/realtime.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace affectsys::affect {
@@ -11,22 +7,7 @@ namespace affectsys::affect {
 RealtimePipeline::RealtimePipeline(AffectClassifier& classifier,
                                    const RealtimeConfig& cfg)
     : classifier_(classifier), cfg_(cfg), vad_(cfg.vad),
-      stream_(cfg.stream) {
-  if (!cfg_.obs_scope.empty()) {
-    scoped_dropped_ =
-        &obs::MetricScope(cfg_.obs_scope).counter("affect.windows_dropped");
-  }
-}
-
-void RealtimePipeline::set_window_sink(WindowSink sink) {
-  if (cfg_.async && sink) {
-    throw std::logic_error(
-        "RealtimePipeline: window sink requires sync mode (async=false)");
-  }
-  sink_ = std::move(sink);
-}
-
-RealtimePipeline::~RealtimePipeline() { drain(); }
+      stream_(cfg.stream) {}
 
 std::optional<Emotion> RealtimePipeline::push_audio(
     double t_s, std::span<const double> chunk) {
@@ -76,13 +57,13 @@ std::optional<Emotion> RealtimePipeline::push_audio(
     }
     if (sink_) {
       // Sink mode: the window is classified externally (the session
-      // server's batcher); enforce the same drop-newest bound the async
-      // queue applies, against the count of results not yet returned
-      // via apply_label().
+      // server's batcher); shed the newest window while max_inflight
+      // results have not yet come back via apply_label().
       {
         std::lock_guard<std::mutex> lk(mu_);
         if (outstanding_ >= cfg_.max_inflight) {
-          record_drop();
+          ++stats_.windows_dropped;
+          AFFECTSYS_COUNT("affect.windows_dropped", 1);
           continue;
         }
         ++outstanding_;
@@ -94,10 +75,6 @@ std::optional<Emotion> RealtimePipeline::push_audio(
     }
     ++stats_.windows_classified;
     AFFECTSYS_COUNT("affect.windows_classified", 1);
-    if (cfg_.async) {
-      enqueue_window(buffer_end_t_, window);
-      continue;
-    }
     if (auto c = classify_and_apply(buffer_end_t_, window)) changed = c;
   }
   return changed;
@@ -109,72 +86,18 @@ std::optional<Emotion> RealtimePipeline::classify_and_apply(
   const ClassificationResult res = classifier_.classify(window);
   if (raw_cb_) raw_cb_(t_end, res.emotion, res.confidence);
   std::lock_guard<std::mutex> lk(mu_);
-  if (auto c = stream_.push(t_end, res.emotion)) {
-    ++stats_.stable_changes;
-    AFFECTSYS_COUNT("affect.stable_changes", 1);
-    return c;
-  }
-  return std::nullopt;
-}
-
-void RealtimePipeline::enqueue_window(double t_end,
-                                      std::span<const double> window) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (pending_.size() >= cfg_.max_inflight) {
-      // Capture must not block on a saturated classifier: shed the
-      // newest window and account for it.
-      record_drop();
-      return;
-    }
-    pending_.push_back(
-        PendingWindow{t_end, std::vector<double>(window.begin(), window.end())});
-    AFFECTSYS_GAUGE_SET("affect.inflight_windows", pending_.size());
-    if (worker_active_) return;  // running worker will pick it up
-    worker_active_ = true;
-  }
-  // One worker at a time: inference mutates layer activation caches, and
-  // FIFO application keeps smoothing identical to the sync pipeline.
-  // With an inline (serial) pool this executes before submit returns,
-  // degrading async mode to the synchronous behaviour.
-  core::global_pool().submit([this] { drain_queue(); });
-}
-
-void RealtimePipeline::drain_queue() {
-  for (;;) {
-    PendingWindow w;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (pending_.empty()) {
-        worker_active_ = false;
-        idle_cv_.notify_all();
-        return;
-      }
-      w = std::move(pending_.front());
-      pending_.pop_front();
-      AFFECTSYS_GAUGE_SET("affect.inflight_windows", pending_.size());
-    }
-    try {
-      classify_and_apply(w.t_end, w.samples);
-    } catch (...) {
-      // A window that fails to classify must not wedge the worker (and
-      // with it drain()); count it and keep consuming.
-      AFFECTSYS_COUNT("affect.async_classify_errors", 1);
-    }
-  }
-}
-
-void RealtimePipeline::record_drop() {
-  // Caller holds mu_.
-  ++stats_.windows_dropped;
-  AFFECTSYS_COUNT("affect.windows_dropped", 1);
-  if (scoped_dropped_) scoped_dropped_->add(1);
+  return push_label(t_end, res.emotion);
 }
 
 std::optional<Emotion> RealtimePipeline::apply_label(double t_end,
                                                      Emotion raw) {
   std::lock_guard<std::mutex> lk(mu_);
   if (outstanding_ > 0) --outstanding_;
+  return push_label(t_end, raw);
+}
+
+std::optional<Emotion> RealtimePipeline::push_label(double t_end,
+                                                    Emotion raw) {
   if (auto c = stream_.push(t_end, raw)) {
     ++stats_.stable_changes;
     AFFECTSYS_COUNT("affect.stable_changes", 1);
@@ -186,11 +109,6 @@ std::optional<Emotion> RealtimePipeline::apply_label(double t_end,
 std::uint64_t RealtimePipeline::dropped() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_.windows_dropped;
-}
-
-void RealtimePipeline::drain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [this] { return pending_.empty() && !worker_active_; });
 }
 
 Emotion RealtimePipeline::stable_emotion() const {

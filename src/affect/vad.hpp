@@ -3,8 +3,7 @@
 // The wearable cannot afford to run the classifier on silence: VAD gates
 // feature extraction so only voiced windows reach the neural engine
 // (this is the front half of the real-time pipeline in
-// affect/realtime.hpp; the offload study in power/offload.hpp counts the
-// classification invocations VAD admits).
+// affect/realtime.hpp).
 #pragma once
 
 #include <span>

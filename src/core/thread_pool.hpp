@@ -3,8 +3,8 @@
 //
 // This is the scaling substrate the hot paths share: row-parallel
 // deblocking (h264/deblock.cpp), blocked GEMM (nn/matrix.cpp) and the
-// async affect pipeline (affect/realtime.cpp) all dispatch through the
-// process-wide pool returned by global_pool().  The build flag
+// session server's per-session stages (serve/server.cpp) all dispatch
+// through the process-wide pool returned by global_pool().  The build flag
 // -DAFFECTSYS_THREADS=OFF turns every pool into inline (serial)
 // execution so the serial build stays the bit-exact reference; all
 // parallel decompositions in this codebase are chosen so that results

@@ -24,21 +24,6 @@ LossResult softmax_cross_entropy(const Matrix& logits, std::size_t target) {
   return res;
 }
 
-LossResult mse_loss(const Matrix& pred, std::span<const float> target) {
-  if (pred.rows() != 1 || pred.cols() != target.size()) {
-    throw std::invalid_argument("mse_loss: shape mismatch");
-  }
-  LossResult res;
-  res.grad = Matrix(1, pred.cols());
-  const float inv = 1.0f / static_cast<float>(pred.cols());
-  for (std::size_t i = 0; i < pred.cols(); ++i) {
-    const float d = pred(0, i) - target[i];
-    res.loss += d * d * inv;
-    res.grad(0, i) = 2.0f * d * inv;
-  }
-  return res;
-}
-
 std::vector<float> softmax_probs(const Matrix& logits) {
   std::vector<float> p;
   softmax_probs_into(logits.flat(), p);

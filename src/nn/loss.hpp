@@ -18,10 +18,6 @@ struct LossResult {
 /// @param target  true class index
 LossResult softmax_cross_entropy(const Matrix& logits, std::size_t target);
 
-/// Mean-squared-error over a (1, D) prediction row (regression heads,
-/// e.g. the valence/arousal/dominance regressor).
-LossResult mse_loss(const Matrix& pred, std::span<const float> target);
-
 /// Softmax probabilities of a logits row (convenience for inference).
 std::vector<float> softmax_probs(const Matrix& logits);
 

@@ -284,25 +284,6 @@ const char* model_kind_name(ModelKind k) {
   return "?";
 }
 
-std::size_t estimate_inference_macs(Sequential& model,
-                                    std::size_t timesteps) {
-  std::size_t macs = 0;
-  std::size_t rows = timesteps;
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    Layer& l = model.layer(i);
-    const std::string kind = l.kind();
-    if (kind == "maxpool1d") {
-      const auto& p = dynamic_cast<MaxPool1D&>(l);
-      rows = (rows + p.pool() - 1) / p.pool();
-    } else if (kind == "flatten" || kind == "mean_over_time" ||
-               kind == "last_timestep") {
-      rows = 1;
-    }
-    macs += l.param_count() * rows;
-  }
-  return macs;
-}
-
 Sequential build_model(ModelKind kind, const ClassifierSpec& spec,
                        std::mt19937& rng) {
   switch (kind) {

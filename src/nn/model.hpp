@@ -101,11 +101,4 @@ const char* model_kind_name(ModelKind k);
 Sequential build_model(ModelKind kind, const ClassifierSpec& spec,
                        std::mt19937& rng);
 
-/// Rough multiply-accumulate count of one forward pass over a
-/// `timesteps`-row input: each parameterized layer contributes its
-/// parameter count times the number of rows it processes (timestep count
-/// before a pooling/flatten head, 1 after).  Used by the offload energy
-/// study (power/offload.hpp).
-std::size_t estimate_inference_macs(Sequential& model, std::size_t timesteps);
-
 }  // namespace affectsys::nn

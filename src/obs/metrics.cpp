@@ -105,6 +105,11 @@ void Registry::reset_values() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
+std::size_t Registry::series() const {
+  std::lock_guard lock(mu_);
+  return counters_.size() + gauges_.size() + histograms_.size();
+}
+
 std::string Registry::to_json() const {
   std::lock_guard lock(mu_);
   JsonWriter w;

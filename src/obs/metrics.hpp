@@ -115,6 +115,9 @@ class Registry {
   /// references stay valid).  Benchmarks call this between phases.
   void reset_values();
 
+  /// Registered metrics: counters, gauges and histograms together.
+  std::size_t series() const;
+
   /// Serializes all metrics as a JSON object with "counters", "gauges"
   /// and "histograms" sections, keys sorted by metric name.
   std::string to_json() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 namespace affectsys::serve {
 
@@ -23,17 +22,7 @@ void fnv_plane(std::uint64_t& h, const h264::Plane& p) {
 Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
                  bool inline_inference, std::uint64_t start_tick)
     : id_(id),
-      cfg_([&] {
-        SessionConfig c = cfg;
-        if (c.realtime.async) {
-          throw std::invalid_argument(
-              "Session: realtime.async must be false (server owns inference)");
-        }
-        if (c.realtime.obs_scope.empty()) {
-          c.realtime.obs_scope = "serve.s" + std::to_string(id);
-        }
-        return c;
-      }()),
+      cfg_(cfg),
       env_([&] {
         // Checked here (not in the body): members below dereference both.
         if (env.workload == nullptr || env.classifier == nullptr) {
@@ -43,7 +32,6 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
         return env;
       }()),
       inline_inference_(inline_inference),
-      scope_(cfg_.realtime.obs_scope),
       pipeline_(*env.classifier, cfg_.realtime),
       fx_(env.classifier->feature_config()),
       fault_plan_([&] {
@@ -83,15 +71,6 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
         *env_.catalog, android::ProcessManagerConfig{}, *kill_policy_);
   }
 
-  c_windows_ = &scope_.counter("serve.windows");
-  c_frames_ = &scope_.counter("serve.frames_decoded");
-  c_frames_dropped_ = &scope_.counter("serve.frames_dropped");
-  c_nals_deleted_ = &scope_.counter("serve.nals_deleted");
-  c_mode_switches_ = &scope_.counter("serve.mode_switches");
-  c_faults_ = &scope_.counter("serve.faults_injected");
-  c_decode_errors_ = &scope_.counter("serve.decode_errors");
-  c_chunks_dropped_ = &scope_.counter("serve.audio_chunks_dropped");
-
   // Media: the single-stream clip is a 1-layer clip, so one sender loop
   // and one receiver serve both.  Simulcast picks the multi-layer clip,
   // the switch policy and the per-layer bookkeeping; with it off those
@@ -118,23 +97,11 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
                       : simulcast::default_switch_policy(n);
     // Sessions join on the top layer.
     layer_selector_ = simulcast::LayerSelector(n, n - 1);
-    c_layer_switches_ = &scope_.counter("serve.sim.layer_switches");
-    c_layer_wait_ = &scope_.counter("serve.sim.wait_pictures");
-    c_downswitch_sheds_ = &scope_.counter("serve.sim.downswitch_sheds");
-    for (std::size_t l = 0; l < n; ++l) {
-      const std::string prefix = "serve.sim.layer" + std::to_string(l);
-      c_layer_pictures_[l] = &scope_.counter(prefix + ".pictures");
-      c_layer_bytes_[l] = &scope_.counter(prefix + ".bytes");
-    }
   }
 
   if (cfg_.transport.enabled) {
     link_ = std::make_unique<net::TransportLink>(cfg_.transport, &fault_plan_,
                                                  &fault_counts_);
-    c_packets_sent_ = &scope_.counter("serve.net.packets_sent");
-    c_packets_lost_ = &scope_.counter("serve.net.packets_lost");
-    c_packets_recovered_ = &scope_.counter("serve.net.packets_recovered");
-    c_nals_lost_ = &scope_.counter("serve.net.nals_lost");
   }
 
   pipeline_.set_window_sink(
@@ -209,7 +176,6 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
     }
     if (fault_plan_.next(fault::kind_bit(fault::FaultKind::kSessionStall))) {
       fault_counts_.record(fault::FaultKind::kSessionStall);
-      c_faults_->add(1);
       // 1-3 s of media time at the default 0.1 s tick — long enough to
       // exceed the pipeline's gap tolerance sometimes, not always.
       stall_remaining_ = 9 + fault_plan_.draw(21);
@@ -218,15 +184,10 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
     }
   }
   fill_chunk(chunk_);
-  if (fault_plan_.enabled()) {
-    const std::uint64_t before = fault_counts_.total;
-    if (!fault::maybe_fault_audio(chunk_, fault_plan_, fault_counts_)) {
-      c_faults_->add(1);
-      ++stats_.chunks_dropped;
-      c_chunks_dropped_->add(1);
-      return;  // capture gap: the chunk never reaches the pipeline
-    }
-    if (fault_counts_.total != before) c_faults_->add(1);
+  if (fault_plan_.enabled() &&
+      !fault::maybe_fault_audio(chunk_, fault_plan_, fault_counts_)) {
+    ++stats_.chunks_dropped;
+    return;  // capture gap: the chunk never reaches the pipeline
   }
   // Active-speaker observation: mean-square energy of the chunk that
   // actually reaches the pipeline (post-fault, so a zeroed chunk reads
@@ -244,7 +205,6 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
 void Session::on_window(double t_end, std::span<const double> window) {
   const nn::Matrix& features = fx_.extract_into(window, fx_ws_);
   ++stats_.windows_enqueued;
-  c_windows_->add(1);
   if (inline_inference_) {
     // Standalone reference path: classify at the sink, exactly where a
     // non-served pipeline would.
@@ -308,7 +268,6 @@ void Session::record_result(std::uint64_t seq, double t_end,
     policy_mode_ = policy_.mode_for(*stable);
     if (kill_policy_) kill_policy_->set_emotion(*stable);
     ++stats_.mode_switches;
-    c_mode_switches_->add(1);
     // A stable-emotion switch is volatility: the calm streak restarts,
     // pulling the session back toward the precise rungs.
     calm_results_ = 0;
@@ -336,7 +295,6 @@ void Session::tick_media(std::uint64_t /*tick*/, int degrade_level) {
     // sent, so shed frames cost no network bytes), while the receiver
     // still drains whatever the link has in flight.
     stats_.frames_dropped += budget;
-    c_frames_dropped_->add(budget);
   } else {
     send_pictures(budget, mc);
   }
@@ -351,14 +309,9 @@ void Session::tick_media(std::uint64_t /*tick*/, int degrade_level) {
       receive_unit(ev.loss, ev.nal.layer, ev.nal.generation, ev.nal.nal,
                    mc.deblock);
     }
-    // Roll link totals into the stats block (obs counters get deltas —
-    // stats_ still holds the previous tick's totals here).
+    // Roll link totals into the stats block.
     const net::TransportStats ts = link_->stats();
-    const std::uint64_t sent = ts.packets_sent + ts.parity_sent;
-    c_packets_sent_->add(sent - stats_.packets_sent);
-    c_packets_lost_->add(ts.packets_lost - stats_.packets_lost);
-    c_packets_recovered_->add(ts.packets_recovered - stats_.packets_recovered);
-    stats_.packets_sent = sent;
+    stats_.packets_sent = ts.packets_sent + ts.parity_sent;
     stats_.packets_lost = ts.packets_lost;
     stats_.packets_recovered = ts.packets_recovered;
   } else {
@@ -420,19 +373,12 @@ void Session::send_pictures(std::size_t slots, const adaptive::ModeConfig& mc) {
     const h264::NalUnit& nal = stream.slices[pic_];
     ++pic_;
     ++pic_global_;
-    if (sim) {
-      ++stats_.layer_pictures[layer];
-      c_layer_pictures_[layer]->add(1);
-    }
+    if (sim) ++stats_.layer_pictures[layer];
     if (mc.delete_nals && !selector_.keeps(nal)) {
       ++stats_.nals_deleted;
-      c_nals_deleted_->add(1);
     } else {
       send_unit(nal, layer);
-      if (sim) {
-        stats_.layer_bytes[layer] += nal.byte_size();
-        c_layer_bytes_[layer]->add(nal.byte_size());
-      }
+      if (sim) stats_.layer_bytes[layer] += nal.byte_size();
     }
     if (link_ && au_count_ > 0) {
       link_->send(std::span<const h264::NalUnit>(au_.data(), au_count_),
@@ -476,7 +422,6 @@ void Session::receive_unit(bool loss, std::uint8_t layer,
     if (!tuned) return;
     decoder_.notify_loss();
     ++stats_.nals_lost;
-    c_nals_lost_->add(1);
     return;
   }
   if (!tuned) {
@@ -495,7 +440,6 @@ void Session::receive_unit(bool loss, std::uint8_t layer,
   if (fault_plan_.enabled()) {
     if (auto faulted =
             fault::maybe_fault_nal(nal, fault_plan_, fault_counts_)) {
-      c_faults_->add(1);
       for (const h264::NalUnit& u : *faulted) decode_unit(u);
       return;
     }
@@ -513,14 +457,12 @@ void Session::decode_unit(const h264::NalUnit& unit) {
     fnv_plane(digest_, pic->frame.cr);
     decoder_.recycle(std::move(pic->frame));
     ++stats_.frames_decoded;
-    c_frames_->add(1);
     return;
   }
   if (h264::is_slice(unit)) {
     ++stats_.pictures_lost;
     if (decoder_.activity().nal_errors != errs_before) {
       ++stats_.decode_errors;
-      c_decode_errors_->add(1);
     }
   }
 }
@@ -553,7 +495,6 @@ bool Session::sim_request_layer(std::size_t budget, int degrade_level,
     }
     layer_selector_.request(0);
     stats_.frames_downswitched += budget;
-    c_downswitch_sheds_->add(budget);
     return false;
   }
   return shed;
@@ -561,8 +502,6 @@ bool Session::sim_request_layer(std::size_t budget, int degrade_level,
 
 void Session::sim_sync_counters() {
   const simulcast::LayerSelectorStats& st = layer_selector_.stats();
-  c_layer_switches_->add(st.switches_completed - stats_.layer_switches);
-  c_layer_wait_->add(st.pictures_waited - stats_.layer_wait_pictures);
   stats_.layer_switches = st.switches_completed;
   stats_.layer_wait_pictures = st.pictures_waited;
 }

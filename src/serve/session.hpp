@@ -39,7 +39,6 @@
 #include "fault/plan.hpp"
 #include "h264/decoder.hpp"
 #include "net/transport.hpp"
-#include "obs/metrics.hpp"
 #include "power/device.hpp"
 #include "serve/batcher.hpp"
 #include "serve/ladder.hpp"
@@ -90,9 +89,9 @@ struct SessionConfig {
   /// Launch one app from the seeded trace every N ticks (0 = no app
   /// manager traffic).
   std::size_t app_launch_period_ticks = 25;
-  /// Audio pipeline shape; async must stay false (the server supplies
-  /// the window sink).  max_inflight is the per-session queue bound —
-  /// the drop-newest shedding knob.
+  /// Audio pipeline shape (the session supplies the window sink).
+  /// max_inflight is the per-session queue bound — the drop-newest
+  /// shedding knob.
   affect::RealtimeConfig realtime{};
   adaptive::SelectorParams selector{140, 1};
   /// Per-session fault injection (disabled by default).  The effective
@@ -343,14 +342,13 @@ class Session {
   /// whether this tick still sheds (only when already on the bottom
   /// layer).
   bool sim_request_layer(std::size_t budget, int degrade_level, bool shed);
-  /// Rolls cumulative selector stats into stats_/obs counters (deltas).
+  /// Copies the cumulative selector stats into stats_.
   void sim_sync_counters();
 
   SessionId id_;
   SessionConfig cfg_;
   SessionEnv env_;
   bool inline_inference_;
-  obs::MetricScope scope_;
 
   // Audio/affect path.
   affect::RealtimePipeline pipeline_;
@@ -449,28 +447,6 @@ class Session {
   std::vector<std::pair<double, affect::Emotion>> stable_trace_;
   std::uint64_t digest_ = 1469598103934665603ull;
   SessionStats stats_;
-
-  // Cached scoped metric handles (one registry lookup each, ever).
-  obs::Counter* c_windows_ = nullptr;
-  obs::Counter* c_frames_ = nullptr;
-  obs::Counter* c_frames_dropped_ = nullptr;
-  obs::Counter* c_nals_deleted_ = nullptr;
-  obs::Counter* c_mode_switches_ = nullptr;
-  obs::Counter* c_faults_ = nullptr;
-  obs::Counter* c_decode_errors_ = nullptr;
-  obs::Counter* c_chunks_dropped_ = nullptr;
-  // Transport counters (registered only in transport mode, so sessions
-  // without it expose an unchanged metric set).
-  obs::Counter* c_packets_sent_ = nullptr;
-  obs::Counter* c_packets_lost_ = nullptr;
-  obs::Counter* c_packets_recovered_ = nullptr;
-  obs::Counter* c_nals_lost_ = nullptr;
-  // Simulcast counters (registered only with simulcast enabled).
-  obs::Counter* c_layer_switches_ = nullptr;
-  obs::Counter* c_layer_wait_ = nullptr;
-  obs::Counter* c_downswitch_sheds_ = nullptr;
-  std::array<obs::Counter*, 4> c_layer_pictures_{};
-  std::array<obs::Counter*, 4> c_layer_bytes_{};
 };
 
 }  // namespace affectsys::serve

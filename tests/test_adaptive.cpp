@@ -1,13 +1,10 @@
 // Tests for the affect-adaptive decoder layer: Input Selector semantics,
-// Pre-store Buffer handshake, mode configs and the playback simulation.
+// mode configs, the continuous-arousal policy and the playback simulation.
 #include <gtest/gtest.h>
-
-#include <random>
 
 #include "adaptive/input_selector.hpp"
 #include "adaptive/modes.hpp"
 #include "adaptive/playback.hpp"
-#include "adaptive/prestore.hpp"
 #include "h264/encoder.hpp"
 #include "h264/testvideo.hpp"
 
@@ -117,81 +114,6 @@ TEST(InputSelector, RejectsZeroFrequency) {
   EXPECT_THROW(adaptive::InputSelector({140, 0}), std::invalid_argument);
 }
 
-// ------------------------------------------------------------- PreStoreBuffer
-
-TEST(PreStore, CapacityMatchesPaperGeometry) {
-  // 128 words x 16 bits = 256 bytes.
-  EXPECT_EQ(adaptive::PreStoreBuffer::kWords, 128u);
-  EXPECT_EQ(adaptive::PreStoreBuffer::kCapacityBytes, 256u);
-}
-
-TEST(PreStore, FifoOrderPreserved) {
-  adaptive::PreStoreBuffer buf;
-  std::vector<std::uint8_t> data(200);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
-  }
-  EXPECT_EQ(buf.write(data), 200u);
-  const auto out = buf.read(200);
-  EXPECT_EQ(out, data);
-  EXPECT_TRUE(buf.empty());
-}
-
-TEST(PreStore, RefusesOverfillAndCountsStall) {
-  adaptive::PreStoreBuffer buf;
-  std::vector<std::uint8_t> big(300, 7);
-  EXPECT_EQ(buf.write(big), 256u);
-  EXPECT_TRUE(buf.full());
-  EXPECT_EQ(buf.stats().producer_stalls, 1u);
-}
-
-TEST(PreStore, EmptyReadCountsStall) {
-  adaptive::PreStoreBuffer buf;
-  EXPECT_TRUE(buf.read(16).empty());
-  EXPECT_EQ(buf.stats().consumer_stalls, 1u);
-}
-
-TEST(PreStore, RewindDeletesUncommittedBytes) {
-  adaptive::PreStoreBuffer buf;
-  std::vector<std::uint8_t> data(100, 1);
-  buf.write(data);
-  EXPECT_TRUE(buf.rewind(40));  // drop the last 40 (a deleted NAL unit)
-  EXPECT_EQ(buf.size_bytes(), 60u);
-  EXPECT_FALSE(buf.rewind(61));  // cannot rewind past what is pending
-  EXPECT_EQ(buf.stats().rewinds, 1u);
-}
-
-TEST(PreStore, WrapAroundIntegrity) {
-  adaptive::PreStoreBuffer buf;
-  std::mt19937 rng(9);
-  std::uniform_int_distribution<int> size_d(1, 60);
-  std::vector<std::uint8_t> sent, received;
-  std::uint8_t next = 0;
-  // Push/pull random chunks across many wraps; data must come out intact.
-  for (int iter = 0; iter < 500; ++iter) {
-    std::vector<std::uint8_t> chunk(static_cast<std::size_t>(size_d(rng)));
-    for (auto& b : chunk) b = next++;
-    const std::size_t accepted = buf.write(chunk);
-    sent.insert(sent.end(), chunk.begin(), chunk.begin() + static_cast<long>(accepted));
-    next = static_cast<std::uint8_t>(sent.empty() ? 0 : sent.back() + 1);
-    const auto out = buf.read(static_cast<std::size_t>(size_d(rng)));
-    received.insert(received.end(), out.begin(), out.end());
-  }
-  const auto rest = buf.read(adaptive::PreStoreBuffer::kCapacityBytes);
-  received.insert(received.end(), rest.begin(), rest.end());
-  EXPECT_EQ(received, sent);
-}
-
-TEST(PreStore, StreamSimulationDeliversEverything) {
-  std::vector<std::uint8_t> stream(10000);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    stream[i] = static_cast<std::uint8_t>(i * 31);
-  }
-  const auto stats = adaptive::simulate_stream_through(stream, 64, 48);
-  // words = bytes/2 (with rounding per chunk); every byte flows through.
-  EXPECT_GE(stats.words_read * 2, stream.size());
-}
-
 // --------------------------------------------------------------------- modes
 
 TEST(Modes, ConfigsMatchSemantics) {
@@ -227,6 +149,29 @@ TEST(Modes, PolicyIsReprogrammable) {
   adaptive::AffectVideoPolicy policy;
   policy.set_mode(affect::Emotion::kRelaxed, adaptive::DecoderMode::kCombined);
   EXPECT_EQ(policy.mode_for(affect::Emotion::kRelaxed),
+            adaptive::DecoderMode::kCombined);
+}
+
+TEST(ContinuousPolicy, ArousalQuartilesMapToModes) {
+  using adaptive::DecoderMode;
+  EXPECT_EQ(adaptive::mode_for_circumplex({0.0, 0.9, 0.0}),
+            DecoderMode::kStandard);
+  EXPECT_EQ(adaptive::mode_for_circumplex({0.0, 0.3, 0.0}),
+            DecoderMode::kDeletion);
+  EXPECT_EQ(adaptive::mode_for_circumplex({0.0, -0.3, 0.0}),
+            DecoderMode::kDeblockOff);
+  EXPECT_EQ(adaptive::mode_for_circumplex({0.0, -0.9, 0.0}),
+            DecoderMode::kCombined);
+}
+
+TEST(ContinuousPolicy, ConsistentWithDiscretePolicyAtExtremes) {
+  // The discrete policy's attention-critical states carry high arousal,
+  // so the continuous mapping agrees at the extremes of the circumplex.
+  EXPECT_EQ(adaptive::mode_for_circumplex(
+                affect::circumplex(affect::Emotion::kExcited)),
+            adaptive::DecoderMode::kStandard);
+  EXPECT_EQ(adaptive::mode_for_circumplex(
+                affect::circumplex(affect::Emotion::kSleepy)),
             adaptive::DecoderMode::kCombined);
 }
 

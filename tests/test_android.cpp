@@ -3,6 +3,7 @@
 // generator and tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "android/catalog.hpp"
@@ -420,4 +421,26 @@ TEST(Trace, CountByType) {
   tracer.record(2.0, android::TraceEventType::kKill, 2);
   EXPECT_EQ(tracer.count(android::TraceEventType::kKill), 2u);
   EXPECT_EQ(tracer.count(android::TraceEventType::kWarmStart), 0u);
+}
+
+TEST(TraceJson, WellFormedAndComplete) {
+  const auto catalog = android::build_catalog(android::EmulatorSpec{});
+  android::Tracer tracer;
+  tracer.record(1.5, android::TraceEventType::kColdStart, catalog[0].id);
+  tracer.record(2.0, android::TraceEventType::kKill, catalog[0].id,
+                "pressure \"quoted\"");
+  tracer.record(3.0, android::TraceEventType::kEmotionChange, 0, "calm");
+  const std::string json = tracer.to_json(catalog);
+  // Structure: array with one object per event.
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_NE(json.find("\"ts\": 1500000"), std::string::npos);
+  EXPECT_NE(json.find("cold_start"), std::string::npos);
+  EXPECT_NE(json.find("kill"), std::string::npos);
+  EXPECT_NE(json.find("emotion_change"), std::string::npos);
+  EXPECT_NE(json.find(catalog[0].name), std::string::npos);
+  // Quotes in details are escaped.
+  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
+  // Balanced braces (rough well-formedness check).
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+            std::count(json.begin(), json.end(), '}'));
 }

@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "h264/bitstream.hpp"
 #include "h264/decoder.hpp"
 #include "h264/deblock.hpp"
 #include "h264/encoder.hpp"
@@ -12,7 +13,6 @@
 #include "h264/intra.hpp"
 #include "h264/intra4.hpp"
 #include "h264/quality.hpp"
-#include "h264/sei.hpp"
 #include "h264/testvideo.hpp"
 #include "h264/transform.hpp"
 #include "h264_golden_clip.hpp"
@@ -662,32 +662,6 @@ TEST(RateControl, RejectsBadConfig) {
 
 // -------------------------------------------------------------------- SEI
 
-TEST(Sei, AffectAnnotationRoundTrips) {
-  h264::AffectSei in;
-  in.time_ms = 123456;
-  in.emotion = 9;
-  in.decoder_mode = 3;
-  in.confidence_pct = 87;
-  const h264::NalUnit nal = h264::make_affect_sei(in);
-  EXPECT_EQ(nal.type, h264::NalType::kSei);
-  const auto out = h264::parse_affect_sei(nal);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->time_ms, in.time_ms);
-  EXPECT_EQ(out->emotion, in.emotion);
-  EXPECT_EQ(out->decoder_mode, in.decoder_mode);
-  EXPECT_EQ(out->confidence_pct, in.confidence_pct);
-}
-
-TEST(Sei, ForeignSeiRejectedGracefully) {
-  h264::NalUnit foreign;
-  foreign.type = h264::NalType::kSei;
-  foreign.payload = {0x01, 0x04, 0xAA, 0xBB, 0xCC, 0xDD, 0x80};
-  EXPECT_FALSE(h264::parse_affect_sei(foreign).has_value());
-  h264::NalUnit slice;
-  slice.type = h264::NalType::kSliceIdr;
-  EXPECT_FALSE(h264::parse_affect_sei(slice).has_value());
-}
-
 TEST(Sei, SurvivesAnnexBAndDecoderIgnoresIt) {
   h264::VideoConfig vc;
   vc.width = 64;
@@ -701,20 +675,29 @@ TEST(Sei, SurvivesAnnexBAndDecoderIgnoresIt) {
   ec.b_frames = 0;
   h264::Encoder enc(ec);
 
+  // A type-6 unit the decoder has no use for: one user-data-unregistered
+  // message (payload type 5, a 16-byte UUID plus 7 data bytes) whose
+  // data holds a 00 00 03 run, so the EBSP carries an emulation byte.
+  std::vector<std::uint8_t> rbsp = {5, 23};
+  for (int i = 0; i < 16; ++i) rbsp.push_back(static_cast<std::uint8_t>(0xA0 + i));
+  rbsp.insert(rbsp.end(), {0x00, 0x00, 0x03, 0x09, 0x02, 0x00, 0x57});
+  rbsp.push_back(0x80);  // rbsp_trailing_bits
+  h264::NalUnit sei;
+  sei.type = h264::NalType::kSei;
+  sei.payload = h264::add_emulation_prevention(rbsp);
+  ASSERT_GT(sei.payload.size(), rbsp.size());
+
   auto units = enc.parameter_sets();
-  h264::AffectSei note;
-  note.time_ms = 777;
-  note.emotion = 2;
-  units.push_back(h264::make_affect_sei(note));
+  units.push_back(sei);
   for (auto& pic : enc.encode(video)) units.push_back(std::move(pic.nal));
 
   const auto stream = h264::pack_annexb(units);
   const auto parsed = h264::unpack_annexb(stream);
   int sei_found = 0;
   for (const auto& u : parsed) {
-    if (const auto p = h264::parse_affect_sei(u)) {
+    if (u.type == h264::NalType::kSei) {
       ++sei_found;
-      EXPECT_EQ(p->time_ms, 777u);
+      EXPECT_EQ(h264::remove_emulation_prevention(u.payload), rbsp);
     }
   }
   EXPECT_EQ(sei_found, 1);

@@ -747,6 +747,29 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(nn::Sequential::load(ss), std::runtime_error);
 }
 
+TEST(SerializeNewLayers, GruAndDropoutRoundTrip) {
+  std::mt19937 rng(70);
+  nn::Sequential model;
+  model.add(std::make_unique<nn::Gru>(5, 6, rng))
+      .add(std::make_unique<nn::Dropout>(0.25f, 7))
+      .add(std::make_unique<nn::LastTimestep>())
+      .add(std::make_unique<nn::Dense>(6, 3, rng));
+  nn::set_training_mode(model, false);
+  nn::Matrix input(8, 5);
+  std::normal_distribution<float> d(0.0f, 1.0f);
+  for (auto& v : input.flat()) v = d(rng);
+  const nn::Matrix before = model.forward(input);
+
+  std::stringstream ss;
+  model.save(ss);
+  nn::Sequential loaded = nn::Sequential::load(ss);
+  const nn::Matrix after = loaded.forward(input);
+  ASSERT_TRUE(before.same_shape(after));
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before.flat()[i], after.flat()[i]);
+  }
+}
+
 // --------------------------------------------------------- paper geometries
 
 TEST(PaperModels, ParameterCountsMatchFig3c) {

@@ -1,10 +1,11 @@
-// Tests for the power/area model and its calibration.
+// Tests for the power/area model, its calibration and the battery model.
 #include <gtest/gtest.h>
 
 #include "h264/decoder.hpp"
 #include "h264/encoder.hpp"
 #include "h264/testvideo.hpp"
 #include "power/area.hpp"
+#include "power/battery.hpp"
 #include "power/model.hpp"
 
 namespace h264 = affectsys::h264;
@@ -105,4 +106,15 @@ TEST(AreaModel, MatchesPaperFigures) {
   EXPECT_EQ(area.technology_nm, 65.0);
   EXPECT_EQ(area.supply_v, 1.2);
   EXPECT_EQ(area.clock_mhz, 28.0);
+}
+
+TEST(Battery, CapacityAndHours) {
+  power::BatteryModel cell;
+  // 300 mAh at 3.85 V = 4158 J.
+  EXPECT_NEAR(cell.capacity_j(), 4158.0, 1.0);
+  // 100 mW total draw -> 11.55 hours.
+  EXPECT_NEAR(cell.hours_at_mw(100.0), 11.55, 0.01);
+  EXPECT_EQ(cell.hours_at_mw(0.0), 0.0);
+  // Video at 30 mW with a 30% share implies 100 mW total.
+  EXPECT_NEAR(cell.playback_hours(30.0), 11.55, 0.01);
 }

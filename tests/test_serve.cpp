@@ -13,6 +13,7 @@
 #include "core/affect_table.hpp"
 #include "fault/plan.hpp"
 #include "nn/model.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
 namespace affect = affectsys::affect;
@@ -125,6 +126,30 @@ TEST(SessionLifecycle, CreateTickCloseAndReuseSlot) {
   EXPECT_EQ(server.session(b).stats().ticks, 25u);
   EXPECT_EQ(server.stats().sessions_created, 3u);
   EXPECT_EQ(server.stats().sessions_closed, 1u);
+}
+
+// Session ids only grow, so a metric series registered per session would
+// pile up in the process-wide registry with every admission.  The
+// registry keeps aggregates only: once one session has run, 63 more
+// sessions on the same seed (so the same code paths, and the same lazily
+// registered aggregates) add no series.
+TEST(SessionLifecycle, RegistryStaysBoundedUnderSessionChurn) {
+  serve::ServerConfig cfg;
+  cfg.max_sessions = 1;
+  serve::SessionManager server(cfg, world().env());
+  const affectsys::obs::Registry& reg = affectsys::obs::Registry::global();
+  // 12 ticks: one app launch, and a window classified through the batcher.
+  const auto churn = [&] {
+    const serve::SessionId id = server.create_session(serve::SessionConfig{});
+    for (int i = 0; i < 12; ++i) server.tick();
+    EXPECT_GT(server.session(id).stats().results_applied, 0u);
+    server.close_session(id);
+    return reg.series();
+  };
+  const std::size_t after_first = churn();
+  for (int s = 1; s < 63; ++s) churn();
+  EXPECT_EQ(churn(), after_first);
+  EXPECT_EQ(server.stats().sessions_closed, 64u);
 }
 
 TEST(SessionLifecycle, SessionRequiresWorkloadAndClassifier) {

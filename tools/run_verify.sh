@@ -29,9 +29,10 @@
 # build-tsan/ and build-release/ (kernels).  Tests carry the ctest label "tier1"; the sanitized
 # configuration additionally labels them "sanitize", and the
 # concurrency-sensitive suites (thread pool, parallel determinism,
-# async realtime pipeline) carry "tsan", which the TSan pass runs
-# together with the small "kernels" suite — other serial suites cannot
-# race and TSan slows them ~10x for nothing.
+# the realtime pipeline's locked sink path, session serving) carry
+# "tsan", which the TSan pass runs together with the small "kernels"
+# suite — other serial suites cannot race and TSan slows them ~10x for
+# nothing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
