@@ -1,7 +1,9 @@
 #include "h264/deblock.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -32,193 +34,344 @@ constexpr int kTc0[3][52] = {
      1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 5, 6, 7,
      9, 10, 11, 13}};
 
-struct EdgePixels {
-  // p3..p0 on one side, q0..q3 on the other, fetched via an accessor.
-  int p[4];
-  int q[4];
+// ---------------------------------------------------------------------------
+// Lane kernel.
+//
+// filter_lanes filters one edge across 16 lines at once, one lane per
+// line.  Row k of the edge footprint (p3..p0 at k = -4..-1, q0..q3 at
+// k = 0..3) holds its 16 samples contiguously at q0 + k * stride, so a
+// horizontal luma edge is read in place (stride = row pitch) and a
+// vertical one through a transposed copy.  Every lane computes both the
+// strong (bS 4) and the normal (bS 1..3) result; lane masks built from
+// its bS, tc0 and the alpha/beta tests pick what is stored, so the
+// kernel has no data-dependent branch.  All samples are loaded before
+// any store.  The returned count is the per-line filter's: 1 or 3 pixels
+// per side for bS 4, and for bS 1..3 two plus one per side whose p1/q1
+// update applies.
+//
+// Lanes are GCC/Clang vectors: one int16 per lane covers every
+// intermediate (at most 8 * 255 + 4), comparisons yield all-ones lane
+// masks and `mask ? a : b` selects per lane.  The compiler lowers each
+// operation to the target's integer vectors (one AVX2 register, two
+// SSE2 or NEON ones), with no per-ISA code here.  Lanes values never
+// pass by value through a function boundary: without AVX that changes
+// the calling convention, and GCC warns about it.
+
+constexpr int kLanes = 16;
+typedef std::uint8_t Bytes16 __attribute__((vector_size(16)));
+typedef std::int16_t Lanes __attribute__((vector_size(32)));
+
+Bytes16 load_bytes(const std::uint8_t* p) {
+  Bytes16 b{};
+  std::memcpy(&b, p, sizeof b);
+  return b;
+}
+
+void store_bytes(std::uint8_t* p, const Bytes16 b) {
+  std::memcpy(p, &b, sizeof b);
+}
+
+/// Clamps every lane of `v` into [lo, hi].
+void clamp_lanes(Lanes& v, const Lanes& lo, const Lanes& hi) {
+  v = v < lo ? lo : v;
+  v = v > hi ? hi : v;
+}
+
+/// Per-frame thresholds, one copy per lane: QP is constant across a
+/// frame, so the table lookups happen once per frame.
+struct EdgeThresholds {
+  Lanes alpha{};
+  Lanes beta{};
+  Lanes strong_gap{};  ///< |p0 - q0| bound of the 3-tap branch
+  Lanes tc0_by_bs[4]{};  ///< index by bs (1..3)
+
+  explicit EdgeThresholds(int qp) {
+    // Adding a scalar to a vector adds it to every lane.
+    const auto i16 = [](int v) { return static_cast<std::int16_t>(v); };
+    alpha += i16(kAlpha[qp]);
+    beta += i16(kBeta[qp]);
+    strong_gap += i16((kAlpha[qp] >> 2) + 2);
+    for (int bs = 1; bs <= 3; ++bs) tc0_by_bs[bs] += i16(kTc0[bs - 1][qp]);
+  }
 };
 
-/// Filters one line of an edge; returns number of pixels modified.
-/// This is the pre-optimization accessor-based core, retained for
-/// deblock_frame_reference (the bit-exactness baseline).
-template <typename Get, typename Set>
-int filter_line(int bs, int qp, Get get, Set set) {
-  const int alpha = kAlpha[qp];
-  const int beta = kBeta[qp];
-  EdgePixels e{};
-  for (int i = 0; i < 4; ++i) {
-    e.p[i] = get(-1 - i);
-    e.q[i] = get(i);
+int filter_lanes(std::uint8_t* q0, const std::ptrdiff_t stride,
+                 const std::uint8_t (&bs)[kLanes], const EdgeThresholds& th) {
+  Lanes in[8]{};  // p3 p2 p1 p0 q0 q1 q2 q3
+  for (int k = 0; k < 8; ++k) {
+    in[k] = __builtin_convertvector(load_bytes(q0 + (k - 4) * stride), Lanes);
   }
-  if (std::abs(e.p[0] - e.q[0]) >= alpha || std::abs(e.p[1] - e.p[0]) >= beta ||
-      std::abs(e.q[1] - e.q[0]) >= beta) {
-    return 0;
+  const Lanes &p3 = in[0], &p2 = in[1], &p1 = in[2], &p0 = in[3];
+  const Lanes &q0v = in[4], &q1 = in[5], &q2 = in[6], &q3 = in[7];
+  const Lanes b = __builtin_convertvector(load_bytes(bs), Lanes);
+  // |x - y| < t as two one-sided tests.
+  const Lanes on = (b != 0) & (p0 - q0v < th.alpha) & (q0v - p0 < th.alpha) &
+                   (p1 - p0 < th.beta) & (p0 - p1 < th.beta) &
+                   (q1 - q0v < th.beta) & (q0v - q1 < th.beta);
+  const Lanes strong = b == 4;
+  const Lanes ap = (p2 - p0 < th.beta) & (p0 - p2 < th.beta);
+  const Lanes aq = (q2 - q0v < th.beta) & (q0v - q2 < th.beta);
+
+  // bS 4: the 3-tap branch per side under the spatial-activity test,
+  // otherwise the 1-tap one.
+  const Lanes near = (p0 - q0v < th.strong_gap) & (q0v - p0 < th.strong_gap);
+  const Lanes sp = ap & near;
+  const Lanes sq = aq & near;
+  const Lanes s_p0 = sp ? (p2 + 2 * p1 + 2 * p0 + 2 * q0v + q1 + 4) >> 3
+                        : (2 * p1 + p0 + q1 + 2) >> 2;
+  const Lanes s_p1 = sp ? (p2 + p1 + p0 + q0v + 2) >> 2 : p1;
+  const Lanes s_p2 = sp ? (2 * p3 + 3 * p2 + p1 + p0 + q0v + 4) >> 3 : p2;
+  const Lanes s_q0 = sq ? (q2 + 2 * q1 + 2 * q0v + 2 * p0 + p1 + 4) >> 3
+                        : (2 * q1 + q0v + p1 + 2) >> 2;
+  const Lanes s_q1 = sq ? (q2 + q1 + q0v + p0 + 2) >> 2 : q1;
+  const Lanes s_q2 = sq ? (2 * q3 + 3 * q2 + q1 + q0v + p0 + 4) >> 3 : q2;
+
+  // bS 1..3: the clipped normal filter.  Masks are -1, so tc0 - ap - aq
+  // adds one per side.  p1 + dp stays within p1 and (p2 + avg) / 2, so
+  // it needs no pixel clamp; with tc0 == 0 the clip pins it to p1.
+  const Lanes tc0 = b == 1 ? th.tc0_by_bs[1]
+                           : (b == 2 ? th.tc0_by_bs[2] : th.tc0_by_bs[3]);
+  const Lanes tc = tc0 - ap - aq;
+  Lanes delta = ((q0v - p0) * 4 + (p1 - q1) + 4) >> 3;
+  clamp_lanes(delta, -tc, tc);
+  const Lanes zero{};
+  const Lanes max_pixel = zero + 255;
+  Lanes n_p0 = p0 + delta;
+  Lanes n_q0 = q0v - delta;
+  clamp_lanes(n_p0, zero, max_pixel);
+  clamp_lanes(n_q0, zero, max_pixel);
+  const Lanes avg = (p0 + q0v + 1) >> 1;
+  Lanes dp = (p2 + avg - 2 * p1) >> 1;
+  Lanes dq = (q2 + avg - 2 * q1) >> 1;
+  clamp_lanes(dp, -tc0, tc0);
+  clamp_lanes(dq, -tc0, tc0);
+  const Lanes n_p1 = ap ? p1 + dp : p1;
+  const Lanes n_q1 = aq ? q1 + dq : q1;
+
+  const Lanes on_strong = on & strong;
+  const Lanes on_normal = on & ~strong;
+  const Lanes out[6] = {on_strong ? s_p2 : p2,
+                        on_strong ? s_p1 : on_normal ? n_p1 : p1,
+                        on_strong ? s_p0 : on_normal ? n_p0 : p0,
+                        on_strong ? s_q0 : on_normal ? n_q0 : q0v,
+                        on_strong ? s_q1 : on_normal ? n_q1 : q1,
+                        on_strong ? s_q2 : q2};
+  for (int k = 0; k < 6; ++k) {
+    store_bytes(q0 + (k - 3) * stride,
+                __builtin_convertvector(out[k], Bytes16));
   }
+
+  const Lanes tc0_pos = tc0 > 0;
+  const Lanes count =
+      (on_strong & (2 + (sp & 2) + (sq & 2))) |
+      (on_normal & (2 + (ap & tc0_pos & 1) + (aq & tc0_pos & 1)));
   int modified = 0;
-  if (bs == 4) {
-    // Strong filter (8.7.2.4 luma path, simplified to the 3-tap branch
-    // plus the 5-tap branch under the spatial-activity condition).
-    const bool strong_p = std::abs(e.p[2] - e.p[0]) < beta &&
-                          std::abs(e.p[0] - e.q[0]) < (alpha >> 2) + 2;
-    const bool strong_q = std::abs(e.q[2] - e.q[0]) < beta &&
-                          std::abs(e.p[0] - e.q[0]) < (alpha >> 2) + 2;
-    if (strong_p) {
-      set(-1, (e.p[2] + 2 * e.p[1] + 2 * e.p[0] + 2 * e.q[0] + e.q[1] + 4) >> 3);
-      set(-2, (e.p[2] + e.p[1] + e.p[0] + e.q[0] + 2) >> 2);
-      set(-3, (2 * e.p[3] + 3 * e.p[2] + e.p[1] + e.p[0] + e.q[0] + 4) >> 3);
-      modified += 3;
-    } else {
-      set(-1, (2 * e.p[1] + e.p[0] + e.q[1] + 2) >> 2);
-      modified += 1;
-    }
-    if (strong_q) {
-      set(0, (e.q[2] + 2 * e.q[1] + 2 * e.q[0] + 2 * e.p[0] + e.p[1] + 4) >> 3);
-      set(1, (e.q[2] + e.q[1] + e.q[0] + e.p[0] + 2) >> 2);
-      set(2, (2 * e.q[3] + 3 * e.q[2] + e.q[1] + e.q[0] + e.p[0] + 4) >> 3);
-      modified += 3;
-    } else {
-      set(0, (2 * e.q[1] + e.q[0] + e.p[1] + 2) >> 2);
-      modified += 1;
-    }
-  } else {
-    const int ap = std::abs(e.p[2] - e.p[0]);
-    const int aq = std::abs(e.q[2] - e.q[0]);
-    const int tc0 = kTc0[bs - 1][qp];
-    const int tc = tc0 + (ap < beta ? 1 : 0) + (aq < beta ? 1 : 0);
-    const int delta = std::clamp(
-        ((e.q[0] - e.p[0]) * 4 + (e.p[1] - e.q[1]) + 4) >> 3, -tc, tc);
-    set(-1, std::clamp(e.p[0] + delta, 0, 255));
-    set(0, std::clamp(e.q[0] - delta, 0, 255));
-    modified += 2;
-    if (ap < beta && tc0 > 0) {
-      const int dp = std::clamp(
-          (e.p[2] + ((e.p[0] + e.q[0] + 1) >> 1) - 2 * e.p[1]) >> 1, -tc0,
-          tc0);
-      set(-2, e.p[1] + dp);
-      ++modified;
-    }
-    if (aq < beta && tc0 > 0) {
-      const int dq = std::clamp(
-          (e.q[2] + ((e.p[0] + e.q[0] + 1) >> 1) - 2 * e.q[1]) >> 1, -tc0,
-          tc0);
-      set(1, e.q[1] + dq);
-      ++modified;
-    }
-  }
+  for (int l = 0; l < kLanes; ++l) modified += count[l];
   return modified;
 }
 
 // ---------------------------------------------------------------------------
-// Optimized strided-pointer core.
+// Transposes.
 //
-// deblock_frame below works directly on plane memory: `q0` points at the
-// first q-side pixel of an edge line, `pix` strides across the edge
-// (p-side at negative multiples) and `line` advances to the next line of
-// the same edge.  Every footprint is in-bounds by construction — luma
-// edges start at x (or y) >= 4 and YuvFrame luma dimensions are
-// multiples of 16; chroma only filters macroblock edges (x, y >= 8 in
-// half-resolution planes) — so the reference's at_clamped reads and
-// guarded writes are no-ops there and the pointer core is byte-identical.
-// All eight pixels are loaded before any store, matching the reference's
-// up-front EdgePixels fetch.
+// Each interleave below is one byte-unpack instruction on any target.
+// One round over N rows writes row 2i as the interleaved low halves of
+// rows i and i + N/2 and row 2i + 1 as their high halves.  Read a byte's
+// place as the bit string (row, column): a round rotates it left by one
+// bit.  Four rounds on 16 rows therefore transpose them (and undo
+// themselves), and on 8 rows the rotation closes after seven.
 
-/// Per-frame thresholds: QP is constant across a frame, so the table
-/// lookups happen once instead of once per filtered line.
-struct EdgeThresholds {
-  int alpha = 0;
-  int beta = 0;
-  int tc0_by_bs[4] = {0, 0, 0, 0};  ///< index by bs (1..3)
-
-  explicit EdgeThresholds(int qp)
-      : alpha(kAlpha[qp]), beta(kBeta[qp]),
-        tc0_by_bs{0, kTc0[0][qp], kTc0[1][qp], kTc0[2][qp]} {}
-};
-
-inline int filter_line_strong(const int alpha, const int beta,
-                              std::uint8_t* __restrict q0p,
-                              const std::ptrdiff_t pix) {
-  const int p0 = q0p[-pix], p1 = q0p[-2 * pix], p2 = q0p[-3 * pix],
-            p3 = q0p[-4 * pix];
-  const int q0 = q0p[0], q1 = q0p[pix], q2 = q0p[2 * pix], q3 = q0p[3 * pix];
-  if (std::abs(p0 - q0) >= alpha || std::abs(p1 - p0) >= beta ||
-      std::abs(q1 - q0) >= beta) {
-    return 0;
+template <int N>
+void interleave_rounds(Bytes16 (&r)[N], const int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    Bytes16 t[N]{};
+    for (int i = 0; i < N / 2; ++i) {
+      t[2 * i] = __builtin_shufflevector(r[i], r[i + N / 2], 0, 16, 1, 17, 2,
+                                         18, 3, 19, 4, 20, 5, 21, 6, 22, 7,
+                                         23);
+      t[2 * i + 1] = __builtin_shufflevector(r[i], r[i + N / 2], 8, 24, 9, 25,
+                                             10, 26, 11, 27, 12, 28, 13, 29,
+                                             14, 30, 15, 31);
+    }
+    for (int i = 0; i < N; ++i) r[i] = t[i];
   }
-  const bool strong_p =
-      std::abs(p2 - p0) < beta && std::abs(p0 - q0) < (alpha >> 2) + 2;
-  const bool strong_q =
-      std::abs(q2 - q0) < beta && std::abs(p0 - q0) < (alpha >> 2) + 2;
-  int modified = 0;
-  if (strong_p) {
-    q0p[-pix] = clamp_pixel((p2 + 2 * p1 + 2 * p0 + 2 * q0 + q1 + 4) >> 3);
-    q0p[-2 * pix] = clamp_pixel((p2 + p1 + p0 + q0 + 2) >> 2);
-    q0p[-3 * pix] = clamp_pixel((2 * p3 + 3 * p2 + p1 + p0 + q0 + 4) >> 3);
-    modified += 3;
-  } else {
-    q0p[-pix] = clamp_pixel((2 * p1 + p0 + q1 + 2) >> 2);
-    modified += 1;
-  }
-  if (strong_q) {
-    q0p[0] = clamp_pixel((q2 + 2 * q1 + 2 * q0 + 2 * p0 + p1 + 4) >> 3);
-    q0p[pix] = clamp_pixel((q2 + q1 + q0 + p0 + 2) >> 2);
-    q0p[2 * pix] = clamp_pixel((2 * q3 + 3 * q2 + q1 + q0 + p0 + 4) >> 3);
-    modified += 3;
-  } else {
-    q0p[0] = clamp_pixel((2 * q1 + q0 + p1 + 2) >> 2);
-    modified += 1;
-  }
-  return modified;
 }
 
-inline int filter_line_normal(const int alpha, const int beta, const int tc0,
-                              std::uint8_t* __restrict q0p,
-                              const std::ptrdiff_t pix) {
-  const int p0 = q0p[-pix], p1 = q0p[-2 * pix], p2 = q0p[-3 * pix];
-  const int q0 = q0p[0], q1 = q0p[pix], q2 = q0p[2 * pix];
-  if (std::abs(p0 - q0) >= alpha || std::abs(p1 - p0) >= beta ||
-      std::abs(q1 - q0) >= beta) {
-    return 0;
-  }
-  const int ap = std::abs(p2 - p0);
-  const int aq = std::abs(q2 - q0);
-  const int tc = tc0 + (ap < beta ? 1 : 0) + (aq < beta ? 1 : 0);
-  const int delta =
-      std::clamp(((q0 - p0) * 4 + (p1 - q1) + 4) >> 3, -tc, tc);
-  q0p[-pix] = clamp_pixel(std::clamp(p0 + delta, 0, 255));
-  q0p[0] = clamp_pixel(std::clamp(q0 - delta, 0, 255));
-  int modified = 2;
-  if (ap < beta && tc0 > 0) {
-    const int dp = std::clamp(
-        (p2 + ((p0 + q0 + 1) >> 1) - 2 * p1) >> 1, -tc0, tc0);
-    q0p[-2 * pix] = clamp_pixel(p1 + dp);
-    ++modified;
-  }
-  if (aq < beta && tc0 > 0) {
-    const int dq = std::clamp(
-        (q2 + ((p0 + q0 + 1) >> 1) - 2 * q1) >> 1, -tc0, tc0);
-    q0p[pix] = clamp_pixel(q1 + dq);
-    ++modified;
-  }
-  return modified;
+/// Copies the 16x16 block at `src` transposed to `dst`.
+void transpose16(const std::uint8_t* src, const std::ptrdiff_t src_pitch,
+                 std::uint8_t* dst, const std::ptrdiff_t dst_pitch) {
+  Bytes16 r[16]{};
+  for (int i = 0; i < 16; ++i) std::memcpy(&r[i], src + i * src_pitch, 16);
+  interleave_rounds(r, 4);
+  for (int i = 0; i < 16; ++i) std::memcpy(dst + i * dst_pitch, &r[i], 16);
 }
 
-/// Filters `nlines` consecutive lines of one edge; the bs==4 branch
-/// decision is hoisted out of the line loop.  Returns pixels modified.
-inline int filter_edge(const int bs, const EdgeThresholds& th,
-                       std::uint8_t* q0, const std::ptrdiff_t pix,
-                       const std::ptrdiff_t line, const int nlines) {
-  int modified = 0;
-  if (bs == 4) {
-    for (int l = 0; l < nlines; ++l, q0 += line) {
-      modified += filter_line_strong(th.alpha, th.beta, q0, pix);
-    }
-  } else {
-    const int tc0 = th.tc0_by_bs[bs];
-    for (int l = 0; l < nlines; ++l, q0 += line) {
-      modified += filter_line_normal(th.alpha, th.beta, tc0, q0, pix);
+// ---------------------------------------------------------------------------
+// Luma passes.
+
+/// bS of an MB's four luma edges in one direction, per lane: bs[e][l] for
+/// edge e and lane l, which lies in segment l / 4.  Edge 0 is the MB edge
+/// against `nb` (the left neighbour for vertical edges, the top one for
+/// horizontal edges); at the frame border `nb` is null and edge 0 is not
+/// filtered.
+void luma_strengths(const MbInfo& cur, const MbInfo* nb, const bool vertical,
+                    std::uint8_t (&bs)[4][kLanes]) {
+  for (int e = 0; e < 4; ++e) {
+    const MbInfo* p = e == 0 ? nb : &cur;
+    for (int s = 0; s < 4; ++s) {
+      int v = 0;
+      if (p != nullptr) {
+        const int q_blk = vertical ? s * 4 + e : e * 4 + s;
+        const int p_blk = e == 0 ? (vertical ? s * 4 + 3 : 12 + s)
+                                 : q_blk - (vertical ? 1 : 4);
+        v = boundary_strength(*p, p_blk, cur, q_blk, e == 0);
+      }
+      std::fill_n(bs[e] + s * 4, 4, static_cast<std::uint8_t>(v));
     }
   }
-  return modified;
+}
+
+/// Adds one filtered-or-not edge of four segments to `st`; returns true
+/// when any segment has a nonzero bS.
+bool count_edge(const std::uint8_t (&bs)[kLanes], DeblockStats& st) {
+  const int filtered = (bs[0] != 0) + (bs[4] != 0) + (bs[8] != 0) +
+                       (bs[12] != 0);
+  st.edges_examined += 4;
+  st.edges_filtered += static_cast<std::uint64_t>(filtered);
+  return filtered != 0;
+}
+
+/// Vertical luma edges of MB row `mby`: the row's 16 lines are transposed
+/// into per-thread scratch, so each edge's footprint becomes 8 rows of 16
+/// lanes; edges run left to right there, then the row is transposed back.
+void deblock_luma_row_vertical(Plane& Y, const std::vector<MbInfo>& mb_info,
+                               const int mby, const EdgeThresholds& th,
+                               DeblockStats& st) {
+  const int mb_cols = Y.width / kMbSize;
+  const std::ptrdiff_t pitch = Y.width;
+  std::uint8_t* const rows = Y.data.data() + mby * kMbSize * pitch;
+  // Capacity stays across frames: a steady-state decode allocates nothing.
+  static thread_local std::vector<std::uint8_t> cols;
+  cols.resize(static_cast<std::size_t>(Y.width) * kMbSize);
+  for (int mbx = 0; mbx < mb_cols; ++mbx) {
+    transpose16(rows + mbx * kMbSize, pitch,
+                cols.data() + mbx * kMbSize * kMbSize, kMbSize);
+  }
+  const MbInfo* const info = mb_info.data() + mby * mb_cols;
+  std::uint8_t bs[4][kLanes]{};
+  for (int mbx = 0; mbx < mb_cols; ++mbx) {
+    luma_strengths(info[mbx], mbx > 0 ? &info[mbx - 1] : nullptr, true, bs);
+    for (int e = mbx > 0 ? 0 : 1; e < 4; ++e) {
+      if (!count_edge(bs[e], st)) continue;
+      const int x = mbx * kMbSize + e * 4;
+      st.pixels_modified += static_cast<std::uint64_t>(
+          filter_lanes(cols.data() + x * kMbSize, kMbSize, bs[e], th));
+    }
+  }
+  for (int mbx = 0; mbx < mb_cols; ++mbx) {
+    transpose16(cols.data() + mbx * kMbSize * kMbSize, kMbSize,
+                rows + mbx * kMbSize, pitch);
+  }
+}
+
+/// Horizontal luma edges of MB columns [c0, c1), in place: an edge's 16
+/// columns within an MB are contiguous.  Each column sees its edges top
+/// to bottom.
+void deblock_luma_cols_horizontal(Plane& Y, const std::vector<MbInfo>& mb_info,
+                                  const int c0, const int c1,
+                                  const EdgeThresholds& th, DeblockStats& st) {
+  const int mb_cols = Y.width / kMbSize;
+  const int mb_rows = Y.height / kMbSize;
+  const std::ptrdiff_t pitch = Y.width;
+  std::uint8_t bs[4][kLanes]{};
+  for (int mby = 0; mby < mb_rows; ++mby) {
+    const MbInfo* const info = mb_info.data() + mby * mb_cols;
+    for (int mbx = c0; mbx < c1; ++mbx) {
+      luma_strengths(info[mbx], mby > 0 ? &info[mbx - mb_cols] : nullptr,
+                     false, bs);
+      for (int e = mby > 0 ? 0 : 1; e < 4; ++e) {
+        if (!count_edge(bs[e], st)) continue;
+        const int y = mby * kMbSize + e * 4;
+        st.pixels_modified += static_cast<std::uint64_t>(filter_lanes(
+            Y.data.data() + y * pitch + mbx * kMbSize, pitch, bs[e], th));
+      }
+    }
+  }
+}
+
+/// Chroma macroblock edges, Cb and Cr together: lanes 0..7 and 8..15 of
+/// the horizontal edge's footprint rows are Cb and Cr, and the vertical
+/// edge's 8 Cb and 8 Cr lines interleave through the transpose.  Both
+/// planes share the edge's bS (capped at 3) and thresholds, so any lane
+/// order gives the per-plane result.  MBs run in raster order, each
+/// vertical edge before its horizontal one, because neighbouring edges
+/// overlap at the corners.
+DeblockStats deblock_chroma(YuvFrame& frame, const std::vector<MbInfo>& mb_info,
+                            const EdgeThresholds& th) {
+  DeblockStats st;
+  const int mb_cols = frame.mb_cols();
+  const int mb_rows = frame.mb_rows();
+  const std::ptrdiff_t pitch = frame.cb.width;
+  std::uint8_t* const cb = frame.cb.data.data();
+  std::uint8_t* const cr = frame.cr.data.data();
+  // Footprint rows p3..q3, flat so the kernel's row offsets from q0
+  // stay inside one array.
+  std::uint8_t foot[8 * kLanes]{};
+  std::uint8_t* const foot_q0 = foot + 4 * kLanes;
+  std::uint8_t bs[kLanes]{};
+  const auto edge_bs = [&](const MbInfo& p, int p_blk, const MbInfo& q) {
+    const int s = std::min(boundary_strength(p, p_blk, q, 0, true), 3);
+    std::fill_n(bs, kLanes, static_cast<std::uint8_t>(s));
+    st.edges_examined += 2;
+    st.edges_filtered += s > 0 ? 2 : 0;
+    return s > 0;
+  };
+  for (int mby = 0; mby < mb_rows; ++mby) {
+    for (int mbx = 0; mbx < mb_cols; ++mbx) {
+      const MbInfo& cur = mb_info[static_cast<std::size_t>(mby) * mb_cols + mbx];
+      const int x = mbx * 8;
+      const int y = mby * 8;
+      if (mbx > 0 && edge_bs(mb_info[static_cast<std::size_t>(mby) * mb_cols +
+                                     mbx - 1],
+                             3, cur)) {
+        // Line l of the edge is bytes x-4..x+3 of row y+l; Cb fills the
+        // low half of row l, Cr the high half.
+        Bytes16 r[8]{};
+        for (int l = 0; l < 8; ++l) {
+          const std::ptrdiff_t at = (y + l) * pitch + x - 4;
+          std::memcpy(&r[l], cb + at, 8);
+          std::memcpy(reinterpret_cast<std::uint8_t*>(&r[l]) + 8, cr + at, 8);
+        }
+        interleave_rounds(r, 4);  // row k: sample x-4+k of all 16 lines
+        std::memcpy(foot, r, sizeof foot);
+        st.pixels_modified +=
+            static_cast<std::uint64_t>(filter_lanes(foot_q0, kLanes, bs, th));
+        std::memcpy(r, foot, sizeof foot);
+        interleave_rounds(r, 3);
+        for (int l = 0; l < 8; ++l) {
+          const std::ptrdiff_t at = (y + l) * pitch + x - 4;
+          std::memcpy(cb + at, &r[l], 8);
+          std::memcpy(cr + at, reinterpret_cast<std::uint8_t*>(&r[l]) + 8, 8);
+        }
+      }
+      if (mby > 0 &&
+          edge_bs(mb_info[static_cast<std::size_t>(mby - 1) * mb_cols + mbx],
+                  12, cur)) {
+        for (int k = 0; k < 8; ++k) {
+          const std::ptrdiff_t at = (y - 4 + k) * pitch + x;
+          std::memcpy(foot + k * kLanes, cb + at, 8);
+          std::memcpy(foot + k * kLanes + 8, cr + at, 8);
+        }
+        st.pixels_modified +=
+            static_cast<std::uint64_t>(filter_lanes(foot_q0, kLanes, bs, th));
+        for (int k = 0; k < 8; ++k) {
+          const std::ptrdiff_t at = (y - 4 + k) * pitch + x;
+          std::memcpy(cb + at, foot + k * kLanes, 8);
+          std::memcpy(cr + at, foot + k * kLanes + 8, 8);
+        }
+      }
+    }
+  }
+  return st;
 }
 
 }  // namespace
@@ -249,24 +402,18 @@ DeblockStats deblock_frame(YuvFrame& frame, const std::vector<MbInfo>& mb_info,
   const EdgeThresholds th(qp);
   const int mb_cols = frame.mb_cols();
   const int mb_rows = frame.mb_rows();
-  Plane& Y = frame.y;
-  const std::ptrdiff_t yw = Y.width;
-  std::uint8_t* const ydata = Y.data.data();
-
-  auto mb_at = [&](int mbx, int mby) -> const MbInfo& {
-    return mb_info[static_cast<std::size_t>(mby) * mb_cols + mbx];
-  };
 
   // Vertical edges (filter across x = 4k boundaries), then horizontal —
   // the spec's pass ordering.  The vertical pass only touches pixels
-  // inside its own 16-line macroblock row, so it runs parallel over MB
-  // rows.  The horizontal pass filters each pixel column independently
-  // (every filtered line is vertical, at a fixed x), so it runs
-  // parallel over MB columns; within a column the serial top-to-bottom
-  // edge order is preserved, which keeps the output bit-exact against
-  // the serial build for any thread count.  Each task accumulates stats
-  // into its own slot; the deterministic sum below keeps DecodeActivity
-  // identical too.
+  // inside its own 16-line macroblock row, and filters each line
+  // independently, so it runs parallel over MB rows.  The horizontal
+  // pass filters each pixel column independently (every filtered line
+  // is vertical, at a fixed x), so it runs parallel over MB columns;
+  // within a column the serial top-to-bottom edge order is preserved,
+  // which keeps the output bit-exact against the serial build for any
+  // thread count.  Chroma follows, serially.  Each task accumulates
+  // stats into its own slot; the deterministic sum below keeps
+  // DecodeActivity identical too.
   // Per-task stat slots live in thread-local scratch (capacity kept
   // across frames) and the pool-less build runs the task body directly:
   // a steady-state decode must not allocate (the serve layer pins
@@ -278,36 +425,12 @@ DeblockStats deblock_frame(YuvFrame& frame, const std::vector<MbInfo>& mb_info,
     AFFECTSYS_TIME_SCOPE("h264.deblock_v_ns");
     std::vector<DeblockStats>& row_stats = pass_stats;
     row_stats.assign(static_cast<std::size_t>(mb_rows), DeblockStats{});
-    const auto v_task =
-        [&](std::size_t r0, std::size_t r1) {
-          for (std::size_t r = r0; r < r1; ++r) {
-            const int mby = static_cast<int>(r);
-            DeblockStats& st = row_stats[r];
-            for (int mbx = 0; mbx < mb_cols; ++mbx) {
-              const MbInfo& cur = mb_at(mbx, mby);
-              for (int edge = 0; edge < 4; ++edge) {
-                const int x = mbx * kMbSize + edge * 4;
-                if (x == 0) continue;  // frame boundary
-                const bool mb_edge = edge == 0;
-                const MbInfo& left = mb_edge ? mb_at(mbx - 1, mby) : cur;
-                for (int y4 = 0; y4 < 4; ++y4) {
-                  const int q_blk = y4 * 4 + edge;
-                  const int p_blk = mb_edge ? y4 * 4 + 3 : y4 * 4 + edge - 1;
-                  const int bs =
-                      boundary_strength(left, p_blk, cur, q_blk, mb_edge);
-                  ++st.edges_examined;
-                  if (bs == 0) continue;
-                  ++st.edges_filtered;
-                  const int y0 = mby * kMbSize + y4 * 4;
-                  // Edge lines run down the plane: pixel stride 1,
-                  // line stride = row pitch.
-                  st.pixels_modified += static_cast<std::uint64_t>(
-                      filter_edge(bs, th, ydata + y0 * yw + x, 1, yw, 4));
-                }
-              }
-            }
-          }
-        };
+    const auto v_task = [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t r = r0; r < r1; ++r) {
+        deblock_luma_row_vertical(frame.y, mb_info, static_cast<int>(r), th,
+                                  row_stats[r]);
+      }
+    };
     if (serial) {
       v_task(0, static_cast<std::size_t>(mb_rows));
     } else {
@@ -319,36 +442,10 @@ DeblockStats deblock_frame(YuvFrame& frame, const std::vector<MbInfo>& mb_info,
     AFFECTSYS_TIME_SCOPE("h264.deblock_h_ns");
     std::vector<DeblockStats>& col_stats = pass_stats;
     col_stats.assign(static_cast<std::size_t>(mb_cols), DeblockStats{});
-    const auto h_task =
-        [&](std::size_t c0, std::size_t c1) {
-          for (std::size_t c = c0; c < c1; ++c) {
-            const int mbx = static_cast<int>(c);
-            DeblockStats& st = col_stats[c];
-            for (int mby = 0; mby < mb_rows; ++mby) {
-              const MbInfo& cur = mb_at(mbx, mby);
-              for (int edge = 0; edge < 4; ++edge) {
-                const int y = mby * kMbSize + edge * 4;
-                if (y == 0) continue;
-                const bool mb_edge = edge == 0;
-                const MbInfo& top = mb_edge ? mb_at(mbx, mby - 1) : cur;
-                for (int x4 = 0; x4 < 4; ++x4) {
-                  const int q_blk = edge * 4 + x4;
-                  const int p_blk = mb_edge ? 3 * 4 + x4 : (edge - 1) * 4 + x4;
-                  const int bs =
-                      boundary_strength(top, p_blk, cur, q_blk, mb_edge);
-                  ++st.edges_examined;
-                  if (bs == 0) continue;
-                  ++st.edges_filtered;
-                  const int x0 = mbx * kMbSize + x4 * 4;
-                  // Edge lines run across the plane: pixel stride =
-                  // row pitch, line stride 1.
-                  st.pixels_modified += static_cast<std::uint64_t>(
-                      filter_edge(bs, th, ydata + y * yw + x0, yw, 1, 4));
-                }
-              }
-            }
-          }
-        };
+    const auto h_task = [&](std::size_t c0, std::size_t c1) {
+      deblock_luma_cols_horizontal(frame.y, mb_info, static_cast<int>(c0),
+                                   static_cast<int>(c1), th, col_stats[c0]);
+    };
     if (serial) {
       h_task(0, static_cast<std::size_t>(mb_cols));
     } else {
@@ -358,159 +455,10 @@ DeblockStats deblock_frame(YuvFrame& frame, const std::vector<MbInfo>& mb_info,
   }
 
   AFFECTSYS_TIME_SCOPE("h264.deblock_chroma_ns");
-  // Chroma: filter macroblock-boundary edges only, using the bs of the
-  // co-located luma edge class (2 if either MB coded, 4 if intra).
-  for (Plane* C : {&frame.cb, &frame.cr}) {
-    const std::ptrdiff_t cw = C->width;
-    std::uint8_t* const cdata = C->data.data();
-    for (int mby = 0; mby < mb_rows; ++mby) {
-      for (int mbx = 0; mbx < mb_cols; ++mbx) {
-        const MbInfo& cur = mb_at(mbx, mby);
-        if (mbx > 0) {
-          const MbInfo& left = mb_at(mbx - 1, mby);
-          const int bs = boundary_strength(left, 3, cur, 0, true);
-          ++stats.edges_examined;
-          if (bs > 0) {
-            ++stats.edges_filtered;
-            const int x = mbx * 8;
-            stats.pixels_modified += static_cast<std::uint64_t>(filter_edge(
-                std::min(bs, 3), th, cdata + (mby * 8) * cw + x, 1, cw, 8));
-          }
-        }
-        if (mby > 0) {
-          const MbInfo& top = mb_at(mbx, mby - 1);
-          const int bs = boundary_strength(top, 12, cur, 0, true);
-          ++stats.edges_examined;
-          if (bs > 0) {
-            ++stats.edges_filtered;
-            const int y = mby * 8;
-            stats.pixels_modified += static_cast<std::uint64_t>(filter_edge(
-                std::min(bs, 3), th, cdata + y * cw + mbx * 8, cw, 1, 8));
-          }
-        }
-      }
-    }
-  }
+  stats += deblock_chroma(frame, mb_info, th);
   AFFECTSYS_COUNT("h264.deblock_edges_examined", stats.edges_examined);
   AFFECTSYS_COUNT("h264.deblock_edges_filtered", stats.edges_filtered);
   AFFECTSYS_COUNT("h264.deblock_pixels", stats.pixels_modified);
-  return stats;
-}
-
-DeblockStats deblock_frame_reference(YuvFrame& frame,
-                                     const std::vector<MbInfo>& mb_info,
-                                     int qp) {
-  DeblockStats stats;
-  qp = std::clamp(qp, 0, 51);
-  const int mb_cols = frame.mb_cols();
-  const int mb_rows = frame.mb_rows();
-  Plane& Y = frame.y;
-
-  auto mb_at = [&](int mbx, int mby) -> const MbInfo& {
-    return mb_info[static_cast<std::size_t>(mby) * mb_cols + mbx];
-  };
-
-  for (int mby = 0; mby < mb_rows; ++mby) {
-    for (int mbx = 0; mbx < mb_cols; ++mbx) {
-      const MbInfo& cur = mb_at(mbx, mby);
-      for (int edge = 0; edge < 4; ++edge) {
-        const int x = mbx * kMbSize + edge * 4;
-        if (x == 0) continue;  // frame boundary
-        const bool mb_edge = edge == 0;
-        const MbInfo& left = mb_edge ? mb_at(mbx - 1, mby) : cur;
-        for (int y4 = 0; y4 < 4; ++y4) {
-          const int q_blk = y4 * 4 + edge;
-          const int p_blk = mb_edge ? y4 * 4 + 3 : y4 * 4 + edge - 1;
-          const int bs = boundary_strength(left, p_blk, cur, q_blk, mb_edge);
-          ++stats.edges_examined;
-          if (bs == 0) continue;
-          ++stats.edges_filtered;
-          const int y0 = mby * kMbSize + y4 * 4;
-          for (int line = 0; line < 4; ++line) {
-            const int yy = y0 + line;
-            stats.pixels_modified += static_cast<std::uint64_t>(filter_line(
-                bs, qp,
-                [&](int off) { return static_cast<int>(Y.at(x + off, yy)); },
-                [&](int off, int v) { Y.at(x + off, yy) = clamp_pixel(v); }));
-          }
-        }
-      }
-    }
-  }
-  for (int mbx = 0; mbx < mb_cols; ++mbx) {
-    for (int mby = 0; mby < mb_rows; ++mby) {
-      const MbInfo& cur = mb_at(mbx, mby);
-      for (int edge = 0; edge < 4; ++edge) {
-        const int y = mby * kMbSize + edge * 4;
-        if (y == 0) continue;
-        const bool mb_edge = edge == 0;
-        const MbInfo& top = mb_edge ? mb_at(mbx, mby - 1) : cur;
-        for (int x4 = 0; x4 < 4; ++x4) {
-          const int q_blk = edge * 4 + x4;
-          const int p_blk = mb_edge ? 3 * 4 + x4 : (edge - 1) * 4 + x4;
-          const int bs = boundary_strength(top, p_blk, cur, q_blk, mb_edge);
-          ++stats.edges_examined;
-          if (bs == 0) continue;
-          ++stats.edges_filtered;
-          const int x0 = mbx * kMbSize + x4 * 4;
-          for (int line = 0; line < 4; ++line) {
-            const int xx = x0 + line;
-            stats.pixels_modified += static_cast<std::uint64_t>(filter_line(
-                bs, qp,
-                [&](int off) { return static_cast<int>(Y.at(xx, y + off)); },
-                [&](int off, int v) { Y.at(xx, y + off) = clamp_pixel(v); }));
-          }
-        }
-      }
-    }
-  }
-  for (Plane* C : {&frame.cb, &frame.cr}) {
-    for (int mby = 0; mby < mb_rows; ++mby) {
-      for (int mbx = 0; mbx < mb_cols; ++mbx) {
-        const MbInfo& cur = mb_at(mbx, mby);
-        if (mbx > 0) {
-          const MbInfo& left = mb_at(mbx - 1, mby);
-          const int bs = boundary_strength(left, 3, cur, 0, true);
-          ++stats.edges_examined;
-          if (bs > 0) {
-            ++stats.edges_filtered;
-            const int x = mbx * 8;
-            for (int yy = mby * 8; yy < (mby + 1) * 8; ++yy) {
-              stats.pixels_modified += static_cast<std::uint64_t>(filter_line(
-                  std::min(bs, 3), qp,
-                  [&](int off) {
-                    return static_cast<int>(C->at_clamped(x + off, yy));
-                  },
-                  [&](int off, int v) {
-                    if (x + off >= 0 && x + off < C->width)
-                      C->at(x + off, yy) = clamp_pixel(v);
-                  }));
-            }
-          }
-        }
-        if (mby > 0) {
-          const MbInfo& top = mb_at(mbx, mby - 1);
-          const int bs = boundary_strength(top, 12, cur, 0, true);
-          ++stats.edges_examined;
-          if (bs > 0) {
-            ++stats.edges_filtered;
-            const int y = mby * 8;
-            for (int xx = mbx * 8; xx < (mbx + 1) * 8; ++xx) {
-              stats.pixels_modified += static_cast<std::uint64_t>(filter_line(
-                  std::min(bs, 3), qp,
-                  [&](int off) {
-                    return static_cast<int>(C->at_clamped(xx, y + off));
-                  },
-                  [&](int off, int v) {
-                    if (y + off >= 0 && y + off < C->height)
-                      C->at(xx, y + off) = clamp_pixel(v);
-                  }));
-            }
-          }
-        }
-      }
-    }
-  }
   return stats;
 }
 

@@ -47,16 +47,10 @@ struct DeblockStats {
 
 /// Filters a reconstructed frame in place.  `mb_info` is raster-ordered
 /// (mb_rows x mb_cols).  Returns activity statistics for the power model.
+/// The per-line oracle it must match byte for byte, stats included,
+/// lives in tests/h264_deblock_oracle.hpp.
 DeblockStats deblock_frame(YuvFrame& frame, const std::vector<MbInfo>& mb_info,
                            int qp);
-
-/// Pre-optimization accessor-based filter (serial, at()/at_clamped pixel
-/// access, per-line table lookups).  Byte-identical to deblock_frame;
-/// kept callable so the kernel suite proves it and bench_kernels
-/// measures the strided-pointer core against the pre-PR behaviour.
-DeblockStats deblock_frame_reference(YuvFrame& frame,
-                                     const std::vector<MbInfo>& mb_info,
-                                     int qp);
 
 /// Spec alpha/beta thresholds (Table 8-16), exposed for tests.
 int deblock_alpha(int qp);

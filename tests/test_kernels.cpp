@@ -2,7 +2,7 @@
 // tools/run_verify.sh kernels): proves the optimized kernels against
 // the pre-optimization references, kept callable or held here as
 // oracles — bit-identity where the discipline demands it (feature
-// workspace path, strided deblocker, FFT butterflies, motion
+// workspace path, lane deblocker, FFT butterflies, motion
 // compensation, the codec's golden digests), bounded drift where a
 // numerically equivalent algorithm replaced the old one (real-input
 // FFT, blocked GEMM).
@@ -22,6 +22,7 @@
 #include "affect/speech_synth.hpp"
 #include "h264/deblock.hpp"
 #include "h264/inter.hpp"
+#include "h264_deblock_oracle.hpp"
 #include "h264_golden_clip.hpp"
 #include "nn/matrix.hpp"
 #include "signal/features.hpp"
@@ -346,26 +347,63 @@ h264::YuvFrame make_mixed_frame(std::vector<h264::MbInfo>& mb_info) {
 }  // namespace
 
 TEST(Deblock, OptimizedMatchesReferenceAcrossAllQps) {
-  std::vector<h264::MbInfo> mb_info;
-  const h264::YuvFrame base = make_mixed_frame(mb_info);
+  // At every QP: the fixed 64x64 pattern, then seeded random MbInfo on
+  // threshold-clustered textures at four frame sizes (one MB, odd MB
+  // counts, the fixed case's size, CIF).
+  struct Size {
+    int width;
+    int height;
+  };
+  constexpr Size kSizes[] = {{16, 16}, {48, 32}, {64, 64}, {352, 288}};
+  std::vector<h264::MbInfo> fixed_info;
+  const h264::YuvFrame fixed = make_mixed_frame(fixed_info);
+  h264::oracle::Coverage cov;
   std::uint64_t modified_total = 0;
-  for (int qp = 0; qp <= 51; ++qp) {
+  const auto check = [&](const h264::YuvFrame& base,
+                         const std::vector<h264::MbInfo>& mb_info, int qp,
+                         const char* what) {
     h264::YuvFrame opt = base;
     h264::YuvFrame ref = base;
     const h264::DeblockStats so = h264::deblock_frame(opt, mb_info, qp);
     const h264::DeblockStats sr =
-        h264::deblock_frame_reference(ref, mb_info, qp);
-    EXPECT_EQ(so.edges_examined, sr.edges_examined) << "qp=" << qp;
-    EXPECT_EQ(so.edges_filtered, sr.edges_filtered) << "qp=" << qp;
-    EXPECT_EQ(so.pixels_modified, sr.pixels_modified) << "qp=" << qp;
-    EXPECT_EQ(opt.y.data, ref.y.data) << "qp=" << qp;
-    EXPECT_EQ(opt.cb.data, ref.cb.data) << "qp=" << qp;
-    EXPECT_EQ(opt.cr.data, ref.cr.data) << "qp=" << qp;
+        h264::oracle::deblock_frame_reference(ref, mb_info, qp, &cov);
+    SCOPED_TRACE(::testing::Message() << what << " " << base.width() << "x"
+                                      << base.height() << " qp=" << qp);
+    EXPECT_EQ(so.edges_examined, sr.edges_examined);
+    EXPECT_EQ(so.edges_filtered, sr.edges_filtered);
+    EXPECT_EQ(so.pixels_modified, sr.pixels_modified);
+    EXPECT_EQ(opt.y.data, ref.y.data);
+    EXPECT_EQ(opt.cb.data, ref.cb.data);
+    EXPECT_EQ(opt.cr.data, ref.cr.data);
     modified_total += so.pixels_modified;
+  };
+  for (int qp = 0; qp <= 51; ++qp) {
+    check(fixed, fixed_info, qp, "fixed");
+    for (const Size& sz : kSizes) {
+      const auto seed = static_cast<std::uint32_t>(qp * 7919 + sz.width);
+      h264::YuvFrame base(sz.width, sz.height);
+      h264::oracle::threshold_texture(base.y, qp, seed);
+      h264::oracle::threshold_texture(base.cb, qp, seed + 1);
+      h264::oracle::threshold_texture(base.cr, qp, seed + 2);
+      check(base,
+            h264::oracle::random_mb_info(base.mb_cols(), base.mb_rows(),
+                                         seed + 3),
+            qp, "random");
+    }
   }
-  // The sweep must exercise the filter for real: high QPs hit both the
-  // strong (intra MB edges) and normal branches on this texture.
+  // The sweep must reach every branch of the per-line filter.
   EXPECT_GT(modified_total, 0u);
+  EXPECT_GT(cov.strong_p3, 0u);
+  EXPECT_GT(cov.strong_p1, 0u);
+  EXPECT_GT(cov.strong_q3, 0u);
+  EXPECT_GT(cov.strong_q1, 0u);
+  EXPECT_GT(cov.normal_ap, 0u);
+  EXPECT_GT(cov.normal_no_ap, 0u);
+  EXPECT_GT(cov.normal_aq, 0u);
+  EXPECT_GT(cov.normal_no_aq, 0u);
+  EXPECT_GT(cov.normal_tc0_zero, 0u);
+  EXPECT_GT(cov.clamp_low, 0u);
+  EXPECT_GT(cov.clamp_high, 0u);
 }
 
 TEST(Deblock, StrongAndNormalBranchesBothFire) {
@@ -378,7 +416,8 @@ TEST(Deblock, StrongAndNormalBranchesBothFire) {
   for (auto& mb : mb_info) mb.intra = true;
   h264::YuvFrame ref = frame;
   const h264::DeblockStats so = h264::deblock_frame(frame, mb_info, 51);
-  const h264::DeblockStats sr = h264::deblock_frame_reference(ref, mb_info, 51);
+  const h264::DeblockStats sr =
+      h264::oracle::deblock_frame_reference(ref, mb_info, 51);
   EXPECT_GT(so.pixels_modified, 0u);
   EXPECT_EQ(so.pixels_modified, sr.pixels_modified);
   EXPECT_EQ(frame.y.data, ref.y.data);

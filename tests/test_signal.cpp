@@ -8,7 +8,6 @@
 #include "signal/features.hpp"
 #include "signal/fft.hpp"
 #include "signal/mel.hpp"
-#include "signal/stats.hpp"
 #include "signal/window.hpp"
 
 namespace sig = affectsys::signal;
@@ -321,72 +320,4 @@ TEST(Features, RolloffBelowNyquist) {
   const double r = sig::spectral_rolloff(m, 16000.0, 512);
   EXPECT_GT(r, 0.0);
   EXPECT_LE(r, 8000.0);
-}
-
-// ------------------------------------------------------------------- stats
-
-TEST(Stats, RunningMatchesBatch) {
-  std::mt19937 rng(5);
-  std::normal_distribution<double> d(3.0, 2.0);
-  std::vector<double> xs(1000);
-  sig::RunningStats rs;
-  for (auto& v : xs) {
-    v = d(rng);
-    rs.add(v);
-  }
-  double mean = 0.0;
-  for (double v : xs) mean += v;
-  mean /= static_cast<double>(xs.size());
-  double var = 0.0;
-  for (double v : xs) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(xs.size());
-  EXPECT_NEAR(rs.mean(), mean, 1e-9);
-  EXPECT_NEAR(rs.variance(), var, 1e-9);
-}
-
-TEST(Stats, MergeEqualsSequential) {
-  sig::RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = std::sin(0.1 * i) * i;
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(Stats, EmptyStatsAreZero) {
-  sig::RunningStats rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_EQ(rs.mean(), 0.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  sig::Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(5.0);
-  h.add(0.5);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, NormalizedSumsToOne) {
-  sig::Histogram h(-1.0, 1.0, 10);
-  std::mt19937 rng(6);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  for (int i = 0; i < 500; ++i) h.add(d(rng));
-  double sum = 0.0;
-  for (double v : h.normalized()) sum += v;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(sig::Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(sig::Histogram(0.0, 1.0, 0), std::invalid_argument);
 }

@@ -74,28 +74,53 @@ pass_tsan()      { run_pass build-tsan tsan 'tsan|kernels' -DAFFECTSYS_SANITIZE=
 # Kernel pass: Release build (benchmarks must not time RelWithDebInfo
 # artifacts), the optimized-vs-reference proof suite (label "kernels"),
 # then bench_kernels regenerating BENCH_kernels.json.  If a committed
-# BENCH_kernels.json exists, the feature-pipeline throughput is
-# soft-checked: a fresh windows_per_sec more than 10% below the
-# committed number fails the pass (the other kernels are ratio-checked
-# implicitly — bench_kernels itself exits nonzero on a byte mismatch).
+# BENCH_kernels.json exists, two numbers are soft-checked against it:
+# the feature pipeline's windows_per_sec must not fall more than 10%
+# below the committed one, and the deblocker's ns_per_frame must not
+# rise more than 10% above it (the other kernels are ratio-checked
+# implicitly — bench_kernels itself exits nonzero on a byte mismatch or
+# a failed gate).  bench_kernels writes its file before it exits on a
+# gate, so a failing exit still runs both soft-checks; the pass then
+# fails with the first failure.
 pass_kernels() {
   run_pass build-release kernels kernels -DCMAKE_BUILD_TYPE=Release
   echo "=== [kernels] bench_kernels ==="
   local fresh="build-release/BENCH_kernels.json"
-  ./build-release/bench/bench_kernels "$fresh"
-  if [[ -f BENCH_kernels.json ]]; then
-    # obs::JsonWriter emits one key per line; the leading quote keeps
-    # "windows_per_sec" from matching the ref_windows_per_sec line.
-    local committed_wps fresh_wps
-    committed_wps=$(grep -o '"windows_per_sec": [0-9.]*' BENCH_kernels.json | head -1 | awk '{print $2}')
-    fresh_wps=$(grep -o '"windows_per_sec": [0-9.]*' "$fresh" | head -1 | awk '{print $2}')
-    echo "feature windows_per_sec: committed=$committed_wps fresh=$fresh_wps"
-    if ! awk -v f="$fresh_wps" -v c="$committed_wps" 'BEGIN { exit !(f >= 0.9 * c) }'; then
-      echo "FAIL: feature throughput regressed >10% vs committed BENCH_kernels.json" >&2
-      exit 1
-    fi
+  local first_fail="" status=0
+  rm -f "$fresh"
+  ./build-release/bench/bench_kernels "$fresh" || status=$?
+  if (( status != 0 )); then
+    first_fail="bench_kernels exited with status $status"
+    echo "FAIL: $first_fail" >&2
+  fi
+  if [[ ! -f BENCH_kernels.json ]]; then
+    echo "no committed BENCH_kernels.json; skipping soft-checks"
+  elif [[ ! -f "$fresh" ]]; then
+    echo "bench_kernels wrote no $fresh; skipping soft-checks"
   else
-    echo "no committed BENCH_kernels.json; skipping throughput check"
+    # obs::JsonWriter emits one key per line; the leading quote keeps
+    # "windows_per_sec" from matching the ref_windows_per_sec line (and
+    # "ns_per_frame" the ref_ns_per_frame one).
+    local check key better committed_v fresh_v
+    for check in windows_per_sec:higher ns_per_frame:lower; do
+      key=${check%%:*}
+      better=${check##*:}
+      committed_v=$(grep -o "\"$key\": [0-9.eE+-]*" BENCH_kernels.json | head -1 | awk '{print $2}')
+      fresh_v=$(grep -o "\"$key\": [0-9.eE+-]*" "$fresh" | head -1 | awk '{print $2}')
+      echo "$key: committed=${committed_v:-none} fresh=${fresh_v:-none}"
+      if [[ -z "$committed_v" || -z "$fresh_v" ]]; then
+        echo "FAIL: $key missing from BENCH_kernels.json" >&2
+        first_fail=${first_fail:-"$key missing"}
+      elif ! awk -v f="$fresh_v" -v c="$committed_v" -v b="$better" \
+             'BEGIN { exit !(b == "higher" ? f >= 0.9 * c : f <= 1.1 * c) }'; then
+        echo "FAIL: $key regressed >10% vs committed BENCH_kernels.json" >&2
+        first_fail=${first_fail:-"$key regressed >10%"}
+      fi
+    done
+  fi
+  if [[ -n "$first_fail" ]]; then
+    echo "kernels pass failed: $first_fail" >&2
+    exit 1
   fi
 }
 
