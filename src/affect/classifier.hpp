@@ -36,18 +36,20 @@ class AffectClassifier {
 
   const std::vector<Emotion>& label_set() const { return label_set_; }
   nn::Sequential& model() { return model_; }
-  /// Feature geometry this classifier was trained with — the session
-  /// server builds per-session extractors from it so concurrent feature
-  /// extraction never contends on (or diverges from) fx_.
+  /// Feature geometry this classifier was trained with.
   const FeatureConfig& feature_config() const { return fx_.config(); }
+  /// The extractor for that geometry.  Immutable and reentrant (its row
+  /// and finish steps are const and keep their scratch thread-local), so
+  /// every session of a server shares this one copy of the DSP tables.
+  const FeatureExtractor& features() const { return fx_; }
 
  private:
   nn::Sequential model_;
   std::vector<Emotion> label_set_;
   FeatureExtractor fx_;
-  /// Reused across classify() calls so the steady-state path performs no
-  /// per-window heap allocation.  Makes classify() non-reentrant, which
-  /// it already was (model forward state).
+  /// classify()'s output matrix, reused so the steady-state path performs
+  /// no per-window heap allocation.  Makes classify() non-reentrant,
+  /// which it already was (model forward state).
   FeatureWorkspace fx_ws_;
 };
 

@@ -24,12 +24,18 @@ std::optional<Emotion> RealtimePipeline::push_audio(
   }
   stats_.samples_in += chunk.size();
   AFFECTSYS_COUNT("affect.samples_in", chunk.size());
+  const auto window_len =
+      static_cast<std::size_t>(cfg_.window_s * cfg_.sample_rate_hz);
+  // The buffer never holds more than one window plus one chunk; reserve
+  // exactly that up front rather than let insert's doubling overshoot
+  // (and strand the blocks it outgrows).
+  if (buffer_.capacity() == 0 && !chunk.empty()) {
+    buffer_.reserve(window_len + chunk.size());
+  }
   buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
   buffer_end_t_ =
       t_s + static_cast<double>(chunk.size()) / cfg_.sample_rate_hz;
 
-  const auto window_len =
-      static_cast<std::size_t>(cfg_.window_s * cfg_.sample_rate_hz);
   // Keep at most one window of history.
   if (buffer_.size() > window_len) {
     buffer_.erase(buffer_.begin(),

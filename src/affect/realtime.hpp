@@ -5,9 +5,11 @@
 // small device-driver chunks, a sliding window is classified only when
 // the VAD saw enough speech, and stable emotions pop out the other end.
 //
-// Steady-state the per-window path is allocation-free: feature
-// extraction reuses the FeatureWorkspace owned by the AffectClassifier
-// and VAD stages frames through a reused buffer.
+// Steady-state the per-window path is allocation-free: the window
+// buffer holds exactly one window plus one chunk from the first push,
+// VAD stages frames through a reused buffer, and extraction (in-pipeline
+// classification only; sink mode hands the raw window out) writes the
+// classifier's reused output matrix from thread-local frame scratch.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,30 @@
 #include "obs/metrics.hpp"
 
 namespace affectsys::serve {
+namespace {
+
+/// Stage A's row-step grain: rows per pool chunk.
+constexpr std::size_t kRowBlock = 16;
+
+/// Runs rows [lo, hi) of the flat row range `jobs` spans (`ends` holds
+/// each job's running row count).
+void run_rows(const affect::FeatureExtractor& fx,
+              std::span<const affect::RowJob> jobs,
+              std::span<const std::size_t> ends, std::size_t lo,
+              std::size_t hi) {
+  std::size_t j = static_cast<std::size_t>(
+      std::upper_bound(ends.begin(), ends.end(), lo) - ends.begin());
+  for (; lo < hi; ++j) {
+    const affect::RowJob& job = jobs[j];
+    const std::size_t first = ends[j] - (job.end - job.begin);
+    const std::size_t last = std::min(hi, ends[j]);
+    fx.compute_rows(job.samples, job.begin + (lo - first),
+                    job.begin + (last - first), *job.raw);
+    lo = last;
+  }
+}
+
+}  // namespace
 
 SessionManager::SessionManager(const ServerConfig& cfg, const SessionEnv& env)
     : cfg_(cfg),
@@ -324,7 +348,7 @@ void SessionManager::tick_rooms() {
 // site passes a mask DISJOINT from every other suite's sites.
 //
 //   per-session plan (one logical stream, session ticked serially):
-//     1. stage A  pump_audio:           kSessionStall site, then the
+//     1. stage A  ingest_audio:         kSessionStall site, then the
 //                                       kAudioKinds chunk site;
 //     2. stage C  tick_media sender:    kNetKinds site per packet sent
 //                                       (transport link only), then
@@ -348,73 +372,109 @@ void SessionManager::tick() {
   AFFECTSYS_TIME_SCOPE("serve.tick_ns");
   ++stats_.ticks;
 
-  // Stage 0 (serial): build this tick's due list.
-  order_.clear();
-  build_due();
-  stats_.session_runs += order_.size();
+  {  // Stage 0 (serial): build this tick's due list.
+    AFFECTSYS_TIME_SCOPE("serve.stage_due_ns");
+    order_.clear();
+    build_due();
+    stats_.session_runs += order_.size();
+    // Precision pressure for this tick, from the backlog the last tick
+    // left behind (stage A reads it per session).
+    update_ladder_pressure();
+  }
 
-  // Precision pressure for this tick, from the backlog the last tick
-  // left behind (stage A reads it per session).
-  update_ladder_pressure();
-  const int pressure = ladder_pressure_;
-
-  // Stage A: audio in parallel over the due list (its indexing keeps
-  // parallel_for's chunking stable).
-  core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      order_[i]->pump_audio(now_tick_, pressure);
+  // Stage A: audio in three steps (see the header).  The due list's
+  // indexing keeps parallel_for's chunking stable; rows are pure
+  // functions of their frames, so the row step's split cannot change a
+  // byte either.
+  {
+    AFFECTSYS_TIME_SCOPE("serve.stage_ingest_ns");
+    const int pressure = ladder_pressure_;
+    core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        order_[i]->ingest_audio(now_tick_, pressure);
+      }
+    });
+  }
+  {
+    AFFECTSYS_TIME_SCOPE("serve.stage_rows_ns");
+    row_jobs_.clear();
+    row_ends_.clear();
+    for (Session* s : order_) s->add_row_jobs(row_jobs_);
+    std::size_t rows = 0;
+    for (const affect::RowJob& job : row_jobs_) {
+      rows += job.end - job.begin;
+      row_ends_.push_back(rows);
     }
-  });
+    const affect::FeatureExtractor& fx = env_.classifier->features();
+    core::parallel_for(0, rows, kRowBlock, [&](std::size_t b, std::size_t e) {
+      run_rows(fx, row_jobs_, row_ends_, b, e);
+    });
+  }
+  {
+    AFFECTSYS_TIME_SCOPE("serve.stage_finish_ns");
+    core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) order_[i]->finish_windows();
+    });
+  }
 
   // Stage R: room dominance (serial; see tick_rooms above).
-  if (!rooms_.empty()) tick_rooms();
-
-  // Stage B: deterministic batch assembly (sessions in id order) +
-  // serialized inference.
-  for (Session* s : order_) s->drain_staged(*batcher_);
-  if (fault_plan_.enabled()) {
-    const bool fallback =
-        fault_plan_.next(fault::kind_bit(fault::FaultKind::kBatcherFallback))
-            .has_value();
-    if (fallback) fault_counts_.record(fault::FaultKind::kBatcherFallback);
-    batcher_->force_fallback(fallback);
-  }
-  // The service capacity is max_batch rows per tick, so sustained
-  // offered load beyond that grows the backlog and trips the shedding
-  // watermarks instead of silently stretching the tick.  Flushes are
-  // rung-homogeneous, so a queue that mixes ladder rungs spends that
-  // capacity over several flushes (an all-fp32 queue takes one).
-  for (std::size_t served = 0; served < cfg_.batcher.max_batch &&
-                               batcher_->should_flush(now_tick_);) {
-    const std::size_t n = batcher_->flush_into(
-        {results_.data(), cfg_.batcher.max_batch - served});
-    route({results_.data(), n});
-    served += n;
+  if (!rooms_.empty()) {
+    AFFECTSYS_TIME_SCOPE("serve.stage_rooms_ns");
+    tick_rooms();
   }
 
-  update_degrade_level();
-
-  // Stage C: media in parallel under the shared degrade level.
-  const int level = degrade_level_;
-  core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      order_[i]->tick_media(now_tick_, level);
+  {  // Stage B: deterministic batch assembly (sessions in id order) +
+     // serialized inference.
+    AFFECTSYS_TIME_SCOPE("serve.stage_infer_ns");
+    for (Session* s : order_) s->drain_staged(*batcher_);
+    if (fault_plan_.enabled()) {
+      const bool fallback =
+          fault_plan_.next(fault::kind_bit(fault::FaultKind::kBatcherFallback))
+              .has_value();
+      if (fallback) fault_counts_.record(fault::FaultKind::kBatcherFallback);
+      batcher_->force_fallback(fallback);
     }
-  });
+    // The service capacity is max_batch rows per tick, so sustained
+    // offered load beyond that grows the backlog and trips the shedding
+    // watermarks instead of silently stretching the tick.  Flushes are
+    // rung-homogeneous, so a queue that mixes ladder rungs spends that
+    // capacity over several flushes (an all-fp32 queue takes one).
+    for (std::size_t served = 0; served < cfg_.batcher.max_batch &&
+                                 batcher_->should_flush(now_tick_);) {
+      const std::size_t n = batcher_->flush_into(
+          {results_.data(), cfg_.batcher.max_batch - served});
+      route({results_.data(), n});
+      served += n;
+    }
+    update_degrade_level();
+  }
 
-  // Error-budget ladder (serial): offenders spend the next
-  // quarantine_ticks ticks benched, then restart fresh.
-  update_error_budget();
+  {  // Stage C: media in parallel under the shared degrade level.
+    AFFECTSYS_TIME_SCOPE("serve.stage_media_ns");
+    const int level = degrade_level_;
+    core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        order_[i]->tick_media(now_tick_, level);
+      }
+    });
+  }
 
-  // Reschedule: every session that ran (and was not just quarantined)
-  // files its next wake-up.  Quarantined slots already filed their
-  // release key in update_error_budget().
-  for (Session* s : order_) {
-    const auto it = sessions_.find(s->id());
-    if (it == sessions_.end() || it->second.quarantined) continue;
-    const std::uint64_t at = now_tick_ + s->next_wake_delay();
-    it->second.next_wake = at;
-    wheel_.schedule_at(at, wake_key(s->id()));
+  {  // The due list's other half: the error budget and the wheel.
+    AFFECTSYS_TIME_SCOPE("serve.stage_reschedule_ns");
+    // Error-budget ladder (serial): offenders spend the next
+    // quarantine_ticks ticks benched, then restart fresh.
+    update_error_budget();
+
+    // Reschedule: every session that ran (and was not just quarantined)
+    // files its next wake-up.  Quarantined slots already filed their
+    // release key in update_error_budget().
+    for (Session* s : order_) {
+      const auto it = sessions_.find(s->id());
+      if (it == sessions_.end() || it->second.quarantined) continue;
+      const std::uint64_t at = now_tick_ + s->next_wake_delay();
+      it->second.next_wake = at;
+      wheel_.schedule_at(at, wake_key(s->id()));
+    }
   }
 
   ++now_tick_;

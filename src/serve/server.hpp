@@ -3,9 +3,19 @@
 // cross-session batched inference, admission control and graceful load
 // shedding.
 //
-// One tick is three stages:
-//   A. pump_audio over every due session (parallel_for; session state
-//      is private, shared state read-only),
+// One tick is three stages (plus the due list and, with rooms, R):
+//   A. audio, in three steps:
+//        ingest  Session::ingest_audio over every due session
+//                (parallel_for; session state is private, shared state
+//                read-only) — surviving windows are recorded, not
+//                extracted;
+//        rows    one flat parallel_for over the feature rows every
+//                window recorded this tick still needs, across
+//                sessions, in 16-row blocks, so a window's rows spread
+//                over the pool;
+//        finish  Session::finish_windows over every due session
+//                (parallel_for): reused rows copied, standardized,
+//                staged for the batcher;
 //   B. collect staged windows in session-id order (serial, so batch
 //      assembly is deterministic) into the one InferenceBatcher, flush
 //      at most max_batch rows (the service capacity per tick; one batch
@@ -14,6 +24,8 @@
 //      non-reentrant),
 //   C. tick_media over every due session (parallel_for) under the
 //      current degrade level.
+// Each stage times itself into the registry (serve.stage_*_ns), and the
+// stage timers add up to serve.tick_ns.
 //
 // Scheduling: a hierarchical timer wheel (core/timer_wheel) holds one
 // wake-up entry per session, and a tick only touches the sessions the
@@ -299,6 +311,8 @@ class SessionManager {
   // Per-tick scratch (capacity reused across ticks).
   std::vector<Session*> order_;        ///< merged due list, id-ascending
   std::vector<RoutedResult> results_;  ///< flush_into() scratch
+  std::vector<affect::RowJob> row_jobs_;  ///< stage A row step, id order
+  std::vector<std::size_t> row_ends_;     ///< running row count per job
 };
 
 }  // namespace affectsys::serve

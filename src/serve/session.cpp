@@ -33,7 +33,7 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
       }()),
       inline_inference_(inline_inference),
       pipeline_(*env.classifier, cfg_.realtime),
-      fx_(env.classifier->feature_config()),
+      features_(env.classifier->features()),
       fault_plan_([&] {
         // Mix the session id into the plan seed so identically
         // configured tenants fault independently (and a restarted
@@ -158,13 +158,23 @@ void Session::update_rung(int ladder_pressure) {
 }
 
 void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
+  ingest_audio(tick, ladder_pressure);
+  const affect::FeatureExtractor& fx = env_.classifier->features();
+  for (std::size_t k = 0; k < features_.size(); ++k) {
+    const affect::RowJob job = features_.job(k);
+    fx.compute_rows(job.samples, job.begin, job.end, *job.raw);
+  }
+  finish_windows();
+}
+
+void Session::ingest_audio(std::uint64_t tick, int ladder_pressure) {
   ++stats_.ticks;
   current_tick_ = tick;
   // A tick that delivers no audio (stall, dropped chunk) is silence to
   // the active-speaker detector.
   last_energy_ = 0.0;
   // Rung chosen before any audio is pushed, so every window this tick
-  // stages (the sink fires inside push_audio) carries one rung.
+  // stages carries one rung.
   update_rung(ladder_pressure);
   if (fault_plan_.enabled()) {
     if (stall_remaining_ > 0) {
@@ -202,12 +212,32 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
   pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk_);
 }
 
+// The pipeline's running sample count (its buffer's coordinates, which
+// a gap resync restarts a whole window ahead) places the window for
+// overlap reuse.
 void Session::on_window(double t_end, std::span<const double> window) {
-  const nn::Matrix& features = fx_.extract_into(window, fx_ws_);
+  features_.push(t_end, window, pipeline_.stats().samples_in);
+}
+
+void Session::add_row_jobs(std::vector<affect::RowJob>& jobs) {
+  for (std::size_t k = 0; k < features_.size(); ++k) {
+    const affect::RowJob job = features_.job(k);
+    if (job.begin < job.end) jobs.push_back(job);
+  }
+}
+
+void Session::finish_windows() {
+  for (std::size_t k = 0; k < features_.size(); ++k) {
+    stage_window(features_.t_end(k), features_.finish(k));
+  }
+  features_.clear();
+}
+
+void Session::stage_window(double t_end, const nn::Matrix& features) {
   ++stats_.windows_enqueued;
   if (inline_inference_) {
-    // Standalone reference path: classify at the sink, exactly where a
-    // non-served pipeline would.
+    // Standalone reference path: classify the window the tick it was
+    // staged, as a non-served pipeline would.
     record_result(next_seq_++, t_end,
                   env_.classifier->classify_features(features));
     return;

@@ -6,19 +6,24 @@
 // consumes lives in the shared read-only SharedWorkload.  Its audio
 // path IS the standalone RealtimePipeline (embedded in sync mode with
 // a window sink), so the windowing/VAD/smoothing behaviour of a served
-// session is the standalone behaviour by construction; the sink hands
-// extracted feature windows to the server's cross-session batcher, and
-// batched results come back through apply_result().  With
-// inline_inference (the standalone reference configuration) the sink
-// classifies immediately instead — tests prove the served single-
-// session run byte-identical to this.
+// session is the standalone behaviour by construction.  The sink only
+// records each surviving window in the session's FeatureStream; its
+// feature rows are computed afterwards (stage A's row step, which the
+// server runs for every session's windows on one pool) and the finished
+// feature matrices go to the server's cross-session batcher, whose
+// results come back through apply_result().  With inline_inference
+// (the standalone reference configuration) the finish step classifies
+// immediately instead — tests prove the served single-session run
+// byte-identical to this.
 //
 // Thread-safety: the server advances sessions concurrently
-// (parallel_for over sessions), but each Session instance is only ever
-// touched by one task at a time, and everything it shares is read-only
-// — except the classifier, which only the inline_inference path calls
-// (the server never sets that flag, so its sessions never touch the
-// shared model; the serialized batcher does).
+// (parallel_for over sessions, and over the rows of their windows), but
+// each Session's own state is only ever touched by one task at a time —
+// row jobs write disjoint rows of its windows — and everything it
+// shares is read-only: the classifier's feature extractor is immutable,
+// and only the inline_inference path calls the classifier's model (the
+// server never sets that flag, so its sessions never touch the shared
+// model; the serialized batcher does).
 #pragma once
 
 #include <array>
@@ -239,15 +244,27 @@ class Session {
 
   SessionId id() const { return id_; }
 
-  /// Stage A (parallel across sessions): advance one tick of audio
-  /// through the embedded pipeline.  Surviving windows are feature-
-  /// extracted here (per-session workspace) and staged for the batcher
-  /// — or classified inline in standalone mode.  `ladder_pressure` is
-  /// the server's global precision-pressure level this tick (0 with the
-  /// ladder off — the default keeps external callers unchanged); the
-  /// session clamps it by its own emotion stability to pick this tick's
-  /// rung before any window is staged.
+  /// Stage A for this session alone: ingest_audio(), the row step for
+  /// its windows on the calling thread, then finish_windows().  The
+  /// server runs the three steps itself, the row step across sessions.
+  /// `ladder_pressure` is the server's global precision-pressure level
+  /// this tick (0 with the ladder off — the default keeps external
+  /// callers unchanged); the session clamps it by its own emotion
+  /// stability to pick this tick's rung before any window is staged.
   void pump_audio(std::uint64_t tick, int ladder_pressure = 0);
+
+  /// Stage A, ingest step (parallel across sessions): one tick of audio
+  /// through the embedded pipeline — chunk, faults, VAD and window
+  /// selection.  A surviving window is recorded, not extracted.
+  void ingest_audio(std::uint64_t tick, int ladder_pressure = 0);
+  /// Stage A, row step input: appends the rows this tick's windows still
+  /// need (rows shared with the window before are copied at finish).
+  /// The jobs stay valid until finish_windows().
+  void add_row_jobs(std::vector<affect::RowJob>& jobs);
+  /// Stage A, finish step (after every row job ran): in window order,
+  /// copy the reused rows, standardize, and stage for the batcher — or
+  /// classify inline in standalone mode.
+  void finish_windows();
 
   /// Enqueues this tick's staged windows into `b` (FIFO; the server
   /// drains sessions serially in id order, so batch assembly is
@@ -295,7 +312,7 @@ class Session {
 
   /// Mean-square energy of the last tick's audio chunk (0 during an
   /// injected stall or a dropped chunk) — the active-speaker detector's
-  /// per-tick observation.  Valid after pump_audio().
+  /// per-tick observation.  Valid after ingest_audio().
   double audio_energy() const { return last_energy_; }
   /// EMA of applied-result confidence: the affect half of the
   /// active-speaker score.
@@ -320,6 +337,7 @@ class Session {
 
  private:
   void on_window(double t_end, std::span<const double> window);
+  void stage_window(double t_end, const nn::Matrix& features);
   /// Steps rung_ one rung toward min(server pressure, own eligibility,
   /// env max_rung), at most once per hysteresis dwell.  No-op with the
   /// ladder off.
@@ -352,8 +370,9 @@ class Session {
 
   // Audio/affect path.
   affect::RealtimePipeline pipeline_;
-  affect::FeatureExtractor fx_;
-  affect::FeatureWorkspace fx_ws_;
+  /// This tick's recorded windows and the last one's raw rows (overlap
+  /// reuse), extracted by the classifier's shared FeatureExtractor.
+  affect::FeatureStream features_;
   std::vector<ScriptSegment> script_;
   std::size_t script_idx_ = 0;
   std::size_t script_offset_ = 0;  ///< samples into the current segment

@@ -2,8 +2,12 @@
 // and the sink (server) mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include "affect/realtime.hpp"
 #include "affect/speech_synth.hpp"
@@ -246,4 +250,191 @@ TEST_F(PipelineFixture, SinkModeShedsNewestWindowBeyondMaxInflight) {
     t += 0.1;
   }
   EXPECT_GT(pending_t.size(), before);
+}
+
+// ---------------------------------------------------- feature row reuse
+
+// Split extraction with overlap reuse (FeatureStream, the path every
+// session runs) must stage exactly the matrix extract_into() computes
+// from scratch on the same window.  The served-vs-standalone identity
+// pins cannot see a reuse bug, since both of their sides reuse rows, so
+// this compares every window against the non-reusing path across
+// chunkings that put windows on and off the hop grid, two windows in
+// one push, a capture gap, and a window whose tail frame is zero-padded.
+// The rows copied (affect.feature_rows_reused) must match what the
+// window positions allow: with hop 160, a window starting `shift`
+// samples after the one before shares `usable - shift / 160` rows when
+// the shift is whole hops, where `usable` counts the rows whose frames
+// lie wholly inside a window.
+namespace {
+
+struct ReuseCase {
+  const char* name;
+  std::size_t chunk;          ///< samples per push
+  double window_s = 1.0;
+  double stride_s = 0.5;
+  std::size_t usable = 64;    ///< rows wholly inside a window
+  std::size_t stall_after = 0;  ///< push index followed by a 2 s capture gap
+};
+
+struct ReuseOutcome {
+  std::size_t windows = 0;
+  std::uint64_t resyncs = 0;
+  std::vector<std::size_t> expected;  ///< rows each window may reuse
+  /// How far each window's finish moved affect.feature_rows_reused.
+  std::vector<std::size_t> counted;
+  std::size_t first_after_gap = 0;    ///< index of the first resynced window
+};
+
+/// 8 utterances of 1.2 s, each followed by 0.5 s of silence.
+std::vector<double> reuse_audio() {
+  affect::SpeechSynthesizer synth(17);
+  std::vector<double> audio;
+  for (int u = 0; u < 8; ++u) {
+    const auto utt = synth.synthesize(
+        u % 2 ? affect::Emotion::kCalm : affect::Emotion::kAngry, 70 + u, 1.2,
+        16000.0, 0.1);
+    audio.insert(audio.end(), utt.samples.begin(), utt.samples.end());
+    audio.insert(audio.end(), 8000, 0.0);
+  }
+  return audio;
+}
+
+ReuseOutcome run_reuse_case(const ReuseCase& rc,
+                            affect::AffectClassifier& clf) {
+  const affect::FeatureExtractor& fx = clf.features();
+  const affectsys::obs::Counter& reused_total =
+      affectsys::obs::Registry::global().counter("affect.feature_rows_reused");
+
+  affect::RealtimeConfig cfg;
+  cfg.window_s = rc.window_s;
+  cfg.window_stride_s = rc.stride_s;
+  affect::RealtimePipeline pipe(clf, cfg);
+  affect::FeatureStream stream(fx);
+  ReuseOutcome out;
+  std::vector<std::vector<double>> copies;  // this push's windows
+  bool has_prev = false;
+  std::uint64_t prev_end = 0;
+  std::uint64_t resyncs = 0;
+  pipe.set_window_sink([&](double t_end, std::span<const double> w) {
+    const affect::RealtimeStats& rs = pipe.stats();
+    stream.push(t_end, w, rs.samples_in);  // as Session::on_window does
+    copies.emplace_back(w.begin(), w.end());
+    std::size_t may = 0;
+    if (has_prev && rs.gap_resyncs == resyncs) {
+      const std::uint64_t shift = rs.samples_in - prev_end;
+      if (shift % 160 == 0 && shift / 160 < rc.usable) {
+        may = rc.usable - static_cast<std::size_t>(shift / 160);
+      }
+    }
+    if (rs.gap_resyncs != resyncs) out.first_after_gap = out.expected.size();
+    out.expected.push_back(may);
+    has_prev = true;
+    prev_end = rs.samples_in;
+    resyncs = rs.gap_resyncs;
+  });
+
+  const std::vector<double> audio = reuse_audio();
+  affect::FeatureWorkspace ws;
+  double gap_s = 0.0;
+  std::size_t push = 0;
+  for (std::size_t off = 0; off + rc.chunk <= audio.size();
+       off += rc.chunk, ++push) {
+    if (rc.stall_after != 0 && push == rc.stall_after + 1) gap_s = 2.0;
+    pipe.push_audio(static_cast<double>(off) / 16000.0 + gap_s,
+                    {audio.data() + off, rc.chunk});
+    // Row step in two halves, back half first: any split, any order.
+    for (std::size_t k = 0; k < stream.size(); ++k) {
+      const affect::RowJob job = stream.job(k);
+      const std::size_t mid = job.begin + (job.end - job.begin) / 2;
+      fx.compute_rows(job.samples, mid, job.end, *job.raw);
+      fx.compute_rows(job.samples, job.begin, mid, *job.raw);
+    }
+    for (std::size_t k = 0; k < stream.size(); ++k) {
+      const std::uint64_t before = reused_total.value();
+      const nn::Matrix& got = stream.finish(k);
+      out.counted.push_back(
+          static_cast<std::size_t>(reused_total.value() - before));
+      const nn::Matrix& want = fx.extract_into(copies[k], ws);
+      EXPECT_EQ(std::memcmp(got.flat().data(), want.flat().data(),
+                            want.size() * sizeof(float)),
+                0)
+          << rc.name << ": window " << out.windows << " differs";
+      pipe.apply_label(stream.t_end(k), affect::Emotion::kNeutral);
+      ++out.windows;
+    }
+    stream.clear();
+    copies.clear();
+  }
+  out.resyncs = pipe.stats().gap_resyncs;
+  return out;
+}
+
+std::size_t sum(const std::vector<std::size_t>& v) {
+  std::size_t s = 0;
+  for (const std::size_t x : v) s += x;
+  return s;
+}
+
+}  // namespace
+
+TEST_F(PipelineFixture, FeatureReuseMatchesExtractIntoWindowForWindow) {
+  const auto check_counter = [](const ReuseCase& rc, const ReuseOutcome& o) {
+#if defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS
+    EXPECT_EQ(o.counted, o.expected) << rc.name;
+#else
+    EXPECT_EQ(sum(o.counted), 0u) << rc.name;
+#endif
+  };
+
+  // 0.1 s chunks, 0.5 s stride: consecutive windows 50 hops apart share
+  // 14 of 64 rows.
+  const ReuseCase on_grid{"1600-sample chunks", 1600};
+  const ReuseOutcome a = run_reuse_case(on_grid, classifier());
+  ASSERT_GT(a.windows, 10u);
+  EXPECT_GT(sum(a.expected), 0u);
+  for (const std::size_t r : a.expected) EXPECT_TRUE(r == 0 || r == 14);
+  check_counter(on_grid, a);
+
+  // 0.375 s chunks: windows end 6000 samples apart (37.5 hops, off the
+  // grid) or 12000 (75 hops, past the overlap), so nothing is shared.
+  const ReuseCase off_grid{"6000-sample chunks", 6000};
+  const ReuseOutcome b = run_reuse_case(off_grid, classifier());
+  ASSERT_GT(b.windows, 10u);
+  EXPECT_EQ(sum(b.expected), 0u);
+  check_counter(off_grid, b);
+
+  // 0.75 s chunks: every other push fires two windows on one buffer,
+  // and the second copies all 64 rows of the first.
+  const ReuseCase twice{"12000-sample chunks", 12000};
+  const ReuseOutcome c = run_reuse_case(twice, classifier());
+  ASSERT_GT(c.windows, 10u);
+  EXPECT_GT(std::count(c.expected.begin(), c.expected.end(), 64u), 0);
+  check_counter(twice, c);
+
+  // A 2 s capture gap past gap_tolerance_s resyncs the buffer: the first
+  // window after it reuses nothing, the ones after reuse again.
+  const ReuseCase stall{"stall", 1600, 1.0, 0.5, 64, 60};
+  const ReuseOutcome d = run_reuse_case(stall, classifier());
+  ASSERT_EQ(d.resyncs, 1u);
+  ASSERT_GT(d.first_after_gap, 0u);
+  ASSERT_LT(d.first_after_gap + 1, d.expected.size());
+  EXPECT_EQ(d.expected[d.first_after_gap], 0u);
+  EXPECT_GT(std::accumulate(d.expected.begin() +
+                                static_cast<std::ptrdiff_t>(d.first_after_gap),
+                            d.expected.end(), std::size_t{0}),
+            0u);
+  check_counter(stall, d);
+
+  // 0.5 s windows feed 49 rows, but the 49th frame runs 80 samples past
+  // the window and is zero-padded, so only 48 rows can be shared: a
+  // 0.2 s stride (20 hops) shares 28.  (The stride clock accumulates
+  // 0.2 s steps in floating point, so some windows fire a chunk early
+  // or late and share 38 or 18 rows instead.)
+  const ReuseCase padded{"zero-padded tail", 1600, 0.5, 0.2, 48};
+  const ReuseOutcome e = run_reuse_case(padded, classifier());
+  ASSERT_GT(e.windows, 10u);
+  EXPECT_GT(std::count(e.expected.begin(), e.expected.end(), 28u), 0);
+  EXPECT_GT(sum(e.expected), 0u);
+  check_counter(padded, e);
 }

@@ -4,6 +4,7 @@
 // pipeline).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -150,6 +151,83 @@ TEST(SessionLifecycle, RegistryStaysBoundedUnderSessionChurn) {
   for (int s = 1; s < 63; ++s) churn();
   EXPECT_EQ(churn(), after_first);
   EXPECT_EQ(server.stats().sessions_closed, 64u);
+}
+
+// The registry alone says where a tick's time went: the stage timers
+// (due list, the three audio steps, rooms, inference, media and the
+// wheel re-arm) add up to serve.tick_ns within 5% on a multi-session
+// run.
+TEST(SessionLifecycle, StageTimersCoverTheTick) {
+#if !(defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS)
+  GTEST_SKIP() << "metrics compiled out";
+#else
+  affectsys::obs::Registry& reg = affectsys::obs::Registry::global();
+  const char* const stages[] = {
+      "serve.stage_due_ns",   "serve.stage_ingest_ns",
+      "serve.stage_rows_ns",  "serve.stage_finish_ns",
+      "serve.stage_rooms_ns", "serve.stage_infer_ns",
+      "serve.stage_media_ns", "serve.stage_reschedule_ns"};
+  const auto stage_sum = [&] {
+    double s = 0.0;
+    for (const char* name : stages) s += reg.histogram(name).sum();
+    return s;
+  };
+  const double tick0 = reg.histogram("serve.tick_ns").sum();
+  const double stages0 = stage_sum();
+  const std::uint64_t rows0 = reg.histogram("serve.stage_rows_ns").count();
+
+  serve::SessionManager server(serve::ServerConfig{}, world().env());
+  for (int i = 0; i < 8; ++i) server.create_session();
+  constexpr int kTicks = 40;
+  for (int i = 0; i < kTicks; ++i) server.tick();
+
+  const double tick = reg.histogram("serve.tick_ns").sum() - tick0;
+  const double covered = stage_sum() - stages0;
+  EXPECT_EQ(reg.histogram("serve.stage_rows_ns").count() - rows0,
+            static_cast<std::uint64_t>(kTicks));
+  ASSERT_GT(tick, 0.0);
+  EXPECT_LE(covered, tick);
+  EXPECT_GE(covered, 0.95 * tick)
+      << "stages cover " << 100.0 * covered / tick << "% of the tick";
+#endif
+}
+
+// Each served window copies the rows it shares with the session's window
+// before (affect.feature_rows_reused): 14 of 64 when the two ended one
+// 0.5 s stride apart, none otherwise.  (FeatureReuseMatchesExtractInto-
+// WindowForWindow in test_realtime pins the bytes.)
+TEST(SessionLifecycle, ServedWindowsReuseOverlapRows) {
+  affectsys::obs::Registry& reg = affectsys::obs::Registry::global();
+  const std::uint64_t rows0 = reg.counter("affect.feature_rows").value();
+  const std::uint64_t reused0 =
+      reg.counter("affect.feature_rows_reused").value();
+
+  serve::ServerConfig cfg;
+  cfg.batcher.max_delay_ticks = 0;
+  serve::SessionManager server(cfg, world().env());
+  serve::SessionConfig scfg;
+  scfg.seed = 42;
+  const auto id = server.create_session(scfg);
+  for (int t = 0; t < 120; ++t) server.tick();
+  server.drain();
+  const auto rep = server.report(id);
+
+  ASSERT_GT(rep.windows.size(), 10u);
+  std::uint64_t shared = 0;
+  for (std::size_t k = 1; k < rep.windows.size(); ++k) {
+    const double gap = rep.windows[k].t_end - rep.windows[k - 1].t_end;
+    if (std::abs(gap - 0.5) < 1e-9) shared += 14;
+  }
+  EXPECT_GT(shared, 0u);
+#if defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS
+  EXPECT_EQ(reg.counter("affect.feature_rows").value() - rows0,
+            64 * rep.windows.size());
+  EXPECT_EQ(reg.counter("affect.feature_rows_reused").value() - reused0,
+            shared);
+#else
+  EXPECT_EQ(reg.counter("affect.feature_rows").value(), rows0);
+  EXPECT_EQ(reg.counter("affect.feature_rows_reused").value(), reused0);
+#endif
 }
 
 TEST(SessionLifecycle, SessionRequiresWorkloadAndClassifier) {

@@ -24,6 +24,9 @@
 #   tools/run_verify.sh conference # conference suite under ASan+UBSan and
 #                                  # TSan (the room stage rides the pool),
 #                                  # then Release (+ bench_conference gates)
+#   tools/run_verify.sh perfbench  # repo benchmark: its selftest, then one
+#                                  # short traced run per BENCHMARK.json
+#                                  # workload, each "correct": true
 #
 # Build trees: build/ (default), build-nothreads/, build-asan/,
 # build-tsan/ and build-release/ (kernels).  Tests carry the ctest label "tier1"; the sanitized
@@ -305,6 +308,42 @@ pass_conference() {
   fi
 }
 
+# Perfbench pass: the repository benchmark (perfbench/, BENCHMARK.json),
+# built into .bench_build/perfbench the way perfbench/run.py builds it.
+# perfbench_selftest runs the benchmark's own unit tests; then each
+# workload BENCHMARK.json lists runs once, traced, for one second.  A
+# traced run replays the untraced SessionManager run stage by stage
+# through the public Session calls (pump_audio, drain_staged,
+# tick_media) and checks that the replay reproduced it exactly — decode
+# digests, label traces, room speaker traces — the one check that
+# catches SessionManager::tick diverging from Session::pump_audio.  The
+# pass fails unless every result line reads "correct": true.
+pass_perfbench() {
+  local dir=.bench_build/perfbench
+  echo "=== [perfbench] configure + build ($dir) ==="
+  cmake -S perfbench -B "$dir" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$dir" -j "$jobs" --target perfbench_serve perfbench_selftest
+  echo "=== [perfbench] perfbench_selftest ==="
+  "$dir/perfbench_selftest"
+  local workloads wl result
+  workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    BENCHMARK.json)
+  for wl in $workloads; do
+    echo "=== [perfbench] $wl --seconds 1 --trace 1 ==="
+    # run.py exits 1 on an incorrect run; its result line decides here.
+    result=$(python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 1 \
+               --trace 1 | tail -n 1) || true
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+print("correct=%s attempted=%d failed=%d" % (r["correct"], r["attempted"], r["failed"]))
+sys.exit(0 if r["correct"] is True else 1)' "$result"; then
+      echo "FAIL: perfbench $wl did not read \"correct\": true" >&2
+      exit 1
+    fi
+  done
+}
+
 case "$mode" in
   default)   pass_default ;;
   threads)   pass_threads ;;
@@ -318,6 +357,7 @@ case "$mode" in
   inference) pass_inference ;;
   simulcast) pass_simulcast ;;
   conference) pass_conference ;;
+  perfbench) pass_perfbench ;;
   all)
     pass_default
     pass_threads
@@ -331,8 +371,9 @@ case "$mode" in
     pass_inference
     pass_simulcast
     pass_conference
+    pass_perfbench
     ;;
-  *) echo "usage: $0 [default|threads|nothreads|sanitize|tsan|kernels|serve|fault|net|inference|simulcast|conference|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [default|threads|nothreads|sanitize|tsan|kernels|serve|fault|net|inference|simulcast|conference|perfbench|all]" >&2; exit 2 ;;
 esac
 
 echo "verification passed ($mode)"
