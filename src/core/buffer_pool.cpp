@@ -41,23 +41,15 @@ BufferPool::BufferPool(const BufferPoolConfig& cfg) : cfg_(cfg) {
   if (cfg_.block_size == 0 || cfg_.blocks == 0) {
     throw std::invalid_argument("BufferPool: block_size and blocks >= 1");
   }
-  const std::size_t stride = BufferBlock::payload_offset() + cfg_.block_size;
+  // Blocks are carved on first use (acquire), so the arena's pages
+  // stay untouched until a block is actually needed.
   arena_ = static_cast<std::uint8_t*>(::operator new(
-      stride * cfg_.blocks, std::align_val_t{alignof(std::max_align_t)}));
-  // Thread the free list front to back, so the first acquires walk the
-  // arena in address order (warm, predictable strides).
-  for (std::size_t i = cfg_.blocks; i > 0; --i) {
-    auto* block = new (arena_ + (i - 1) * stride) BufferBlock;
-    block->capacity = static_cast<std::uint32_t>(cfg_.block_size);
-    block->pool = this;
-    block->next = free_head_;
-    free_head_ = block;
-  }
+      stride() * cfg_.blocks, std::align_val_t{alignof(std::max_align_t)}));
 }
 
 BufferPool::~BufferPool() {
-  // Contract: the pool outlives every BufferRef it issued; by now all
-  // blocks are back on the free list and the control records are
+  // Contract: the pool outlives every BufferRef it issued; by now every
+  // carved block is back on the free list and the control records are
   // trivially destructible.
   ::operator delete(static_cast<void*>(arena_),
                     std::align_val_t{alignof(std::max_align_t)});
@@ -67,10 +59,17 @@ BufferRef BufferPool::acquire(std::size_t size) {
   if (size == 0) return {};
   if (size <= cfg_.block_size) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (free_head_ != nullptr) {
-      BufferBlock* block = free_head_;
+    BufferBlock* block = free_head_;
+    if (block != nullptr) {
       free_head_ = block->next;
       block->next = nullptr;
+    } else if (carved_ < cfg_.blocks) {
+      // Free list empty: carve the next block in address order.
+      block = new (arena_ + carved_++ * stride()) BufferBlock;
+      block->capacity = static_cast<std::uint32_t>(cfg_.block_size);
+      block->pool = this;
+    }
+    if (block != nullptr) {
       block->refs.store(1, std::memory_order_relaxed);
       ++stats_.acquires;
       ++stats_.in_use;

@@ -6,12 +6,13 @@
 // Layout: the arena is carved into fixed-size blocks, each headed by a
 // BufferBlock control record (refcount, capacity, owning pool,
 // free-list link) with the payload following at max_align_t alignment.
-// acquire() pops the free list; the last BufferRef release pushes the
-// block back.  Requests larger than the block size — or arriving with
-// the free list empty — fall back to a heap-backed block with a null
-// pool pointer (released straight to the allocator), so exhaustion
-// degrades to the pre-pool behaviour instead of failing; the stats
-// record how often.
+// acquire() pops the free list, or carves the next block in address
+// order once the list is empty, so a pool only touches the blocks its
+// peak use needs; the last BufferRef release pushes the block back.
+// Requests larger than the block size — or arriving with every block
+// in use — fall back to a heap-backed block with a null pool pointer
+// (released straight to the allocator), so exhaustion degrades to the
+// pre-pool behaviour instead of failing; the stats record how often.
 //
 // Thread-safety: acquire() and release are mutex-serialized (a block
 // acquired on the serve thread may take its last release on a pool
@@ -151,10 +152,15 @@ class BufferPool {
   friend class BufferRef;
   void release(BufferBlock* block);
 
+  std::size_t stride() const {
+    return BufferBlock::payload_offset() + cfg_.block_size;
+  }
+
   BufferPoolConfig cfg_;
   std::uint8_t* arena_ = nullptr;
   mutable std::mutex mu_;
-  BufferBlock* free_head_ = nullptr;
+  BufferBlock* free_head_ = nullptr;  ///< released blocks, LIFO
+  std::size_t carved_ = 0;            ///< blocks carved from the arena
   BufferPoolStats stats_;
 };
 

@@ -212,7 +212,6 @@ ServeScenarioResult run_serve_scenario(const ScenarioConfig& cfg) {
   sc.backlog_hi = 1000;
   sc.backlog_lo = 10;
   sc.batcher.max_batch = 16;
-  sc.batcher.max_delay_ticks = 0;
   sc.error_budget = 3;
   sc.error_window_ticks = 40;
   sc.quarantine_ticks = 10;

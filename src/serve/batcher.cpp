@@ -46,10 +46,24 @@ void InferenceBatcher::enqueue(InferenceRequest req) {
   pending_.push_back(std::move(req));
 }
 
-bool InferenceBatcher::should_flush(std::uint64_t now_tick) const {
-  if (pending() == 0) return false;
-  if (pending() >= cfg_.max_batch) return true;
-  return now_tick - pending_[head_].enqueue_tick >= cfg_.max_delay_ticks;
+bool InferenceBatcher::should_flush(std::uint64_t /*now_tick*/) const {
+  return pending() > 0;
+}
+
+void InferenceBatcher::stack_batch(const InferenceRequest* reqs,
+                                   std::size_t n) {
+  const std::size_t flat = reqs[0].size();
+  batch_.reshape(n, flat);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (reqs[r].size() != flat) {
+      throw std::invalid_argument(
+          "InferenceBatcher: inconsistent feature geometry in batch");
+    }
+    // Flatten is a row-major copy, so the sample's flat() span IS its
+    // Flatten output.
+    std::memcpy(batch_.row(r).data(), reqs[r].flat().data(),
+                flat * sizeof(float));
+  }
 }
 
 void InferenceBatcher::row_result_into(std::span<const float> logits_row,
@@ -98,6 +112,12 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
     c_forced_fallbacks_->add(1);
   }
   const InferenceRequest* reqs = pending_.data() + head_;
+  for (std::size_t r = 0; r < n; ++r) {
+    out[r].session = reqs[r].session;
+    out[r].seq = reqs[r].seq;
+    out[r].enqueue_tick = reqs[r].enqueue_tick;
+    out[r].t_end = reqs[r].t_end;
+  }
   if (rung == Rung::kInt8) {
     if (ladder_.int8_model == nullptr) {
       throw std::logic_error("InferenceBatcher: int8 window without model");
@@ -107,26 +127,10 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
     // Stacked int8 forward.  Per-row activation scales make a batch row
     // a function of that row alone, so this is bit-identical to running
     // each window through the quantized model individually.
-    const std::size_t flat = reqs[0].size();
-    batch_.reshape(n, flat);
-    for (std::size_t r = 0; r < n; ++r) {
-      const InferenceRequest& req = reqs[r];
-      if (req.size() != flat) {
-        throw std::invalid_argument(
-            "InferenceBatcher: inconsistent feature geometry in batch");
-      }
-      std::memcpy(batch_.row(r).data(), req.flat().data(),
-                  flat * sizeof(float));
-    }
+    stack_batch(reqs, n);
     if (n > 1) stats_.batched_windows += n;
     const nn::Matrix& logits = ladder_.int8_model->forward(batch_, qws_);
-    for (std::size_t r = 0; r < n; ++r) {
-      const InferenceRequest& req = reqs[r];
-      out[r].session = req.session;
-      out[r].seq = req.seq;
-      out[r].t_end = req.t_end;
-      row_result_into(logits.row(r), out[r]);
-    }
+    for (std::size_t r = 0; r < n; ++r) row_result_into(logits.row(r), out[r]);
   } else if (rung == Rung::kHdc) {
     if (ladder_.hdc == nullptr) {
       throw std::logic_error("InferenceBatcher: hdc window without model");
@@ -137,9 +141,6 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
     // scan); per-window is already the cheap path.
     for (std::size_t r = 0; r < n; ++r) {
       const InferenceRequest& req = reqs[r];
-      out[r].session = req.session;
-      out[r].seq = req.seq;
-      out[r].t_end = req.t_end;
       ladder_.hdc->classify_into(req.flat(), req.rows, req.cols, hws_,
                                  out[r].result);
     }
@@ -148,28 +149,10 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
     // and full forward are trivially the same product; batched_windows
     // keeps its historical meaning of rows that shared a GEMM).
     if (n > 1) stats_.batched_windows += n;
-    const std::size_t flat = reqs[0].size();
-    batch_.reshape(n, flat);
-    for (std::size_t r = 0; r < n; ++r) {
-      const InferenceRequest& req = reqs[r];
-      if (req.size() != flat) {
-        throw std::invalid_argument(
-            "InferenceBatcher: inconsistent feature geometry in batch");
-      }
-      // Flatten is a row-major copy, so the sample's flat() span IS its
-      // Flatten output.
-      std::memcpy(batch_.row(r).data(), req.flat().data(),
-                  flat * sizeof(float));
-    }
+    stack_batch(reqs, n);
     const nn::Matrix& logits =
         classifier_.model().forward_from_infer(1, batch_, ws_);
-    for (std::size_t r = 0; r < n; ++r) {
-      const InferenceRequest& req = reqs[r];
-      out[r].session = req.session;
-      out[r].seq = req.seq;
-      out[r].t_end = req.t_end;
-      row_result_into(logits.row(r), out[r]);
-    }
+    for (std::size_t r = 0; r < n; ++r) row_result_into(logits.row(r), out[r]);
   } else {
     // Per-window fallback: non-batchable models, batched=false, or a
     // fault-forced flush — the full reference forward per request.
@@ -179,9 +162,6 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
       std::memcpy(fallback_.flat().data(), req.flat().data(),
                   req.size() * sizeof(float));
       const nn::Matrix logits = classifier_.model().forward(fallback_);
-      out[r].session = req.session;
-      out[r].seq = req.seq;
-      out[r].t_end = req.t_end;
       row_result_into(logits.flat(), out[r]);
     }
   }

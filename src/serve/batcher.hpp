@@ -79,6 +79,7 @@ struct InferenceRequest {
 struct RoutedResult {
   SessionId session = 0;
   std::uint64_t seq = 0;
+  std::uint64_t enqueue_tick = 0;  ///< the request's, for label age
   double t_end = 0.0;
   affect::ClassificationResult result;
 };
@@ -86,12 +87,10 @@ struct RoutedResult {
 struct BatcherConfig {
   /// Rows per batched forward; also the per-flush service capacity, so
   /// it bounds how fast the server drains backlog (the admission /
-  /// shedding tests overload exactly this).
+  /// shedding tests overload exactly this).  There is no flush
+  /// deadline: a window is classified the tick it is staged unless the
+  /// tick's capacity is already spent.
   std::size_t max_batch = 16;
-  /// Flush deadline: a flush is due once the oldest pending window has
-  /// waited this many ticks (0 = flush every tick something is
-  /// pending — the single-session bit-exactness configuration).
-  std::uint64_t max_delay_ticks = 1;
   /// False runs every window through an individual forward (the
   /// per-session baseline the bench compares against).
   bool batched = true;
@@ -125,8 +124,9 @@ class InferenceBatcher {
   void enqueue(InferenceRequest req);
   std::size_t pending() const { return pending_.size() - head_; }
 
-  /// True when a flush is due: the batch is full, or the oldest pending
-  /// window has aged past the deadline.
+  /// True when a flush is due: any window is pending.  `now_tick` is
+  /// unused (labels never wait for a deadline); it stays in the
+  /// signature for callers that pass the server tick.
   bool should_flush(std::uint64_t now_tick) const;
 
   /// Classifies up to min(max_batch, out.size()) pending windows (FIFO)
@@ -155,6 +155,9 @@ class InferenceBatcher {
   const BatcherConfig& config() const { return cfg_; }
 
  private:
+  /// Copies requests [reqs, reqs + n) into batch_ as stacked flat rows
+  /// (all must share one feature geometry).
+  void stack_batch(const InferenceRequest* reqs, std::size_t n);
   /// Fills `out.result` from one logits row, reusing the probability
   /// vector's capacity.
   void row_result_into(std::span<const float> logits_row,

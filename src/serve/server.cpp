@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -265,7 +266,20 @@ void SessionManager::route(std::span<const RoutedResult> results) {
     }
     slot.session->apply_result(r);
     ++stats_.results_routed;
+    AFFECTSYS_OBSERVE("serve.label_latency_ticks",
+                      static_cast<double>(now_tick_ - r.enqueue_tick));
+    AFFECTSYS_OBSERVE("serve.label_latency_ns",
+                      label_age_ns(r, slot.cfg.tick_s));
   }
+}
+
+double SessionManager::label_age_ns(const RoutedResult& r,
+                                    double tick_s) const {
+  const auto wall = std::chrono::steady_clock::now() - route_t0_;
+  return static_cast<double>(now_tick_ - r.enqueue_tick) * tick_s * 1e9 +
+         static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(wall)
+                 .count());
 }
 
 void SessionManager::restart_slot(SessionId id, Slot& slot) {
@@ -370,6 +384,7 @@ void SessionManager::tick_rooms() {
 // pins both).
 void SessionManager::tick() {
   AFFECTSYS_TIME_SCOPE("serve.tick_ns");
+  route_t0_ = std::chrono::steady_clock::now();
   ++stats_.ticks;
 
   {  // Stage 0 (serial): build this tick's due list.
@@ -481,6 +496,7 @@ void SessionManager::tick() {
 }
 
 void SessionManager::drain() {
+  route_t0_ = std::chrono::steady_clock::now();
   while (batcher_->pending() > 0) {
     const std::size_t n = batcher_->flush_into(results_);
     route({results_.data(), n});

@@ -19,8 +19,9 @@
 //   B. collect staged windows in session-id order (serial, so batch
 //      assembly is deterministic) into the one InferenceBatcher, flush
 //      at most max_batch rows (the service capacity per tick; one batch
-//      unless ladder rungs split it) and route the results back
-//      (serial — the model's activation caches make inference
+//      unless ladder rungs split it) and route the results back, so
+//      a label is applied before this tick's stage C picks a decoder
+//      mode (serial — the model's activation caches make inference
 //      non-reentrant),
 //   C. tick_media over every due session (parallel_for) under the
 //      current degrade level.
@@ -37,10 +38,11 @@
 // whatever batch it rides in (the batcher's contract), so raising it
 // changes capacity, never output.
 //
-// Determinism: nothing in the control loop reads a wall clock.  The
-// flush deadline is counted in ticks, service capacity is max_batch
-// rows per tick, and the degrade level is a pure function of the
-// global backlog vs. the watermarks — so an overloaded run is exactly
+// Determinism: nothing in the control loop reads a wall clock (the
+// label-age metric does, and nothing reads it back).  A staged window
+// is classified the same tick unless max_batch rows were already
+// served, and the degrade level is a pure function of the global
+// backlog vs. the watermarks — so an overloaded run is exactly
 // replayable under a fixed seed, which is what the shedding tests
 // assert.
 //
@@ -56,6 +58,7 @@
 // outstanding, so one chatty tenant cannot monopolize the batcher.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -263,7 +266,12 @@ class SessionManager {
   void build_due();
   void tick_rooms();
   void restart_slot(SessionId id, Slot& slot);
+  /// Applies each result to its session and records the label's age
+  /// (serve.label_latency_ticks, serve.label_latency_ns).
   void route(std::span<const RoutedResult> results);
+  /// A routed label's age in ns: the ticks since its window was staged
+  /// times the session's tick_s, plus the wall time since route_t0_.
+  double label_age_ns(const RoutedResult& r, double tick_s) const;
   void update_degrade_level();
   void update_ladder_pressure();
   void update_error_budget();
@@ -300,6 +308,9 @@ class SessionManager {
   fault::FaultCounts fault_counts_;
   SessionId next_id_ = 1;
   std::uint64_t now_tick_ = 0;
+  /// Start of the tick (or drain) that is routing results; read only by
+  /// label_age_ns, never by the control loop.
+  std::chrono::steady_clock::time_point route_t0_{};
   int degrade_level_ = 0;
   int ladder_pressure_ = 0;
   ServerStats stats_;

@@ -283,7 +283,6 @@ TEST(Quarantine, FaultStormQuarantinesRestartsAndShieldsNeighbor) {
   sc.backlog_hi = 1000;  // ladder out of the picture
   sc.backlog_lo = 10;
   sc.batcher.max_batch = 16;
-  sc.batcher.max_delay_ticks = 0;
   sc.error_budget = 2;
   sc.error_window_ticks = 20;
   sc.quarantine_ticks = 5;

@@ -136,6 +136,43 @@ TEST(BufferPool, RefcountLifecycleAndFreeListReuse) {
   EXPECT_EQ(pool.stats().heap_fallbacks, 0u);
 }
 
+// Blocks are carved on first use: fresh blocks come out in ascending
+// arena order one stride apart, a released block is reused before the
+// next fresh one, and an N-block pool hands out exactly N pooled blocks
+// before the heap fallback.
+TEST(BufferPool, FreshBlocksCarveInAddressOrder) {
+  constexpr std::size_t kBlocks = 5;
+  constexpr std::size_t kBlockSize = 256;
+  core::BufferPool pool(core::BufferPoolConfig{kBlockSize, kBlocks});
+  const std::size_t stride = core::BufferBlock::payload_offset() + kBlockSize;
+
+  std::vector<core::BufferRef> held;
+  held.push_back(pool.acquire(kBlockSize));
+  held.push_back(pool.acquire(1));
+  ASSERT_TRUE(held[0].pooled());
+  ASSERT_TRUE(held[1].pooled());
+  EXPECT_EQ(held[1].data(), held[0].data() + stride);
+
+  std::uint8_t* const second = held[1].data();
+  held[1].reset();
+  held[1] = pool.acquire(8);  // LIFO reuse beats a fresh carve
+  EXPECT_EQ(held[1].data(), second);
+
+  for (std::size_t i = 2; i < kBlocks; ++i) {
+    held.push_back(pool.acquire(8));
+    ASSERT_TRUE(held[i].pooled()) << "block " << i;
+    EXPECT_EQ(held[i].data(), held[i - 1].data() + stride) << "block " << i;
+  }
+  EXPECT_EQ(pool.stats().heap_fallbacks, 0u);
+  EXPECT_EQ(pool.stats().in_use, kBlocks);
+
+  const core::BufferRef extra = pool.acquire(8);
+  EXPECT_FALSE(extra.pooled());
+  EXPECT_EQ(pool.stats().heap_fallbacks, 1u);
+  EXPECT_EQ(pool.stats().acquires, kBlocks + 1);  // one reuse above
+  EXPECT_EQ(pool.stats().high_water, kBlocks);
+}
+
 TEST(BufferPool, ExhaustionAndOversizeFallBackToHeap) {
   core::BufferPool pool(core::BufferPoolConfig{128, 2});
   core::BufferRef a = pool.acquire(10);

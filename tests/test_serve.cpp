@@ -202,9 +202,7 @@ TEST(SessionLifecycle, ServedWindowsReuseOverlapRows) {
   const std::uint64_t reused0 =
       reg.counter("affect.feature_rows_reused").value();
 
-  serve::ServerConfig cfg;
-  cfg.batcher.max_delay_ticks = 0;
-  serve::SessionManager server(cfg, world().env());
+  serve::SessionManager server(serve::ServerConfig{}, world().env());
   serve::SessionConfig scfg;
   scfg.seed = 42;
   const auto id = server.create_session(scfg);
@@ -271,7 +269,6 @@ serve::ServerConfig overload_config() {
   serve::ServerConfig cfg;
   cfg.max_sessions = 8;
   cfg.batcher.max_batch = 1;
-  cfg.batcher.max_delay_ticks = 0;
   cfg.backlog_hi = 4;
   cfg.backlog_lo = 1;
   cfg.session.realtime.max_inflight = 2;
@@ -367,6 +364,71 @@ TEST(Shedding, OverloadedRunsAreDeterministic) {
   EXPECT_EQ(a.batcher.flushes, b.batcher.flushes);
   EXPECT_EQ(a.batcher.windows, b.batcher.windows);
   EXPECT_EQ(a.final_level, b.final_level);
+}
+
+// ------------------------------------------------------------ label age
+
+// Every routed label records its age in the registry:
+// serve.label_latency_ticks is how many ticks its window waited at the
+// batcher, serve.label_latency_ns that wait times tick_s plus the
+// routing tick's wall time so far.  The default server classifies every
+// window the tick it was staged, duty-cycled sessions included.
+TEST(LabelAge, DefaultServerRoutesLabelsInTheStagingTick) {
+#if !(defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS)
+  GTEST_SKIP() << "metrics compiled out";
+#else
+  affectsys::obs::Registry& reg = affectsys::obs::Registry::global();
+  const affectsys::obs::Histogram& ticks =
+      reg.histogram("serve.label_latency_ticks");
+  const affectsys::obs::Histogram& ns = reg.histogram("serve.label_latency_ns");
+  const std::uint64_t count0 = ticks.count();
+  const double ticks0 = ticks.sum();
+  const std::uint64_t ns_count0 = ns.count();
+  const double ns0 = ns.sum();
+
+  serve::SessionManager server(serve::ServerConfig{}, world().env());
+  for (int i = 0; i < 4; ++i) server.create_session();
+  for (unsigned i = 0; i < 4; ++i) {
+    serve::SessionConfig duty;
+    duty.seed = 50 + i;
+    duty.duty_active_ticks = 2;
+    duty.duty_idle_ticks = 3;
+    server.create_session(duty);
+  }
+  for (int t = 0; t < 60; ++t) server.tick();
+  EXPECT_EQ(server.backlog(), 0u);
+  server.drain();
+
+  const std::uint64_t routed = server.stats().results_routed;
+  ASSERT_GT(routed, 0u);
+  EXPECT_EQ(ticks.count() - count0, routed);
+  EXPECT_EQ(ticks.sum() - ticks0, 0.0);
+  EXPECT_EQ(ns.count() - ns_count0, routed);
+  EXPECT_GT(ns.sum() - ns0, 0.0);
+#endif
+}
+
+// At one row a tick (overload_config) labels queue behind each other,
+// and their recorded ages carry whole ticks of waiting.
+TEST(LabelAge, OverloadedLabelsWaitWholeTicks) {
+#if !(defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS)
+  GTEST_SKIP() << "metrics compiled out";
+#else
+  affectsys::obs::Registry& reg = affectsys::obs::Registry::global();
+  const affectsys::obs::Histogram& ticks =
+      reg.histogram("serve.label_latency_ticks");
+  const affectsys::obs::Histogram& ns = reg.histogram("serve.label_latency_ns");
+  const std::uint64_t count0 = ticks.count();
+  const double ticks0 = ticks.sum();
+  const double ns0 = ns.sum();
+
+  const auto out = run_overloaded(120);
+  const double waited = ticks.sum() - ticks0;
+  EXPECT_EQ(ticks.count() - count0, out.server.results_routed);
+  EXPECT_GE(waited, 1.0);
+  // Each label's ns age is at least its tick wait times tick_s (0.1 s).
+  EXPECT_GE(ns.sum() - ns0, waited * 1e8);
+#endif
 }
 
 // ----------------------------------- admission storms under faults
@@ -563,11 +625,10 @@ TEST(Batcher, BatchedResultsAreBitIdenticalToPerWindowForwards) {
   }
 }
 
-TEST(Batcher, FlushRespectsDeadlineAndCapacity) {
+TEST(Batcher, FlushRespectsCapacity) {
   auto& w = world();
   serve::BatcherConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay_ticks = 2;
   serve::InferenceBatcher batcher(w.classifier, cfg);
 
   affect::FeatureExtractor fx(w.classifier.feature_config());
@@ -586,12 +647,9 @@ TEST(Batcher, FlushRespectsDeadlineAndCapacity) {
 
   EXPECT_FALSE(batcher.should_flush(0));  // empty
   enqueue_at(5);
-  EXPECT_FALSE(batcher.should_flush(5));  // fresh, batch not full
-  EXPECT_FALSE(batcher.should_flush(6));
-  EXPECT_TRUE(batcher.should_flush(7));  // aged past the deadline
+  EXPECT_TRUE(batcher.should_flush(5));  // one fresh window is due
 
-  for (int i = 0; i < 5; ++i) enqueue_at(7);
-  EXPECT_TRUE(batcher.should_flush(7));  // full regardless of age
+  for (int i = 0; i < 5; ++i) enqueue_at(5);
   EXPECT_EQ(batcher.flush().size(), 4u);  // capacity per flush
   EXPECT_EQ(batcher.pending(), 2u);
 }
@@ -616,11 +674,8 @@ TEST(ByteIdentity, ServedSingleSessionMatchesStandalonePipeline) {
   }
   const auto ref = standalone.report();
 
-  // Served: same seed, flush-every-tick batcher (the deadline never
-  // defers a lone session's window past its tick).
-  serve::ServerConfig cfg;
-  cfg.batcher.max_delay_ticks = 0;
-  serve::SessionManager server(cfg, w.env());
+  // Served: same seed, default server.
+  serve::SessionManager server(serve::ServerConfig{}, w.env());
   const auto id = server.create_session(scfg);
   for (int t = 0; t < kTicks; ++t) server.tick();
   server.drain();

@@ -287,12 +287,9 @@ TEST(DutyCycle, IdleTicksAreTransparentToSessionOutput) {
   serve::SessionConfig scfg;
   scfg.seed = 11;
 
-  // Baseline: always-on, 20 ticks.  max_delay 0 so
-  // results apply the tick their window is staged — the configuration
-  // under which duty transparency is exact (results never span a sleep).
-  serve::ServerConfig base_cfg;
-  base_cfg.batcher.max_delay_ticks = 0;
-  serve::SessionManager base(base_cfg, world().env());
+  // Baseline: always-on, 20 ticks.  Results apply the tick their
+  // window is staged, so none spans a sleep.
+  serve::SessionManager base(serve::ServerConfig{}, world().env());
   const auto base_id = base.create_session(scfg);
   for (int i = 0; i < 20; ++i) base.tick();
   base.drain();
@@ -301,12 +298,10 @@ TEST(DutyCycle, IdleTicksAreTransparentToSessionOutput) {
   ASSERT_GT(base_report.windows.size(), 0u);
 
   // Duty-cycled: wakes every 8th server tick.
-  serve::ServerConfig duty_cfg;
-  duty_cfg.batcher.max_delay_ticks = 0;
   serve::SessionConfig duty = scfg;
   duty.duty_active_ticks = 1;
   duty.duty_idle_ticks = 7;
-  serve::SessionManager server(duty_cfg, world().env());
+  serve::SessionManager server(serve::ServerConfig{}, world().env());
   const auto id = server.create_session(duty);
   for (int i = 0; i < 160; ++i) server.tick();
   server.drain();

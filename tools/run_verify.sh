@@ -26,7 +26,8 @@
 #                                  # then Release (+ bench_conference gates)
 #   tools/run_verify.sh perfbench  # repo benchmark: its selftest, then one
 #                                  # short traced run per BENCHMARK.json
-#                                  # workload, each "correct": true
+#                                  # workload, each "correct": true with
+#                                  # no label waiting a tick
 #
 # Build trees: build/ (default), build-nothreads/, build-asan/,
 # build-tsan/ and build-release/ (kernels).  Tests carry the ctest label "tier1"; the sanitized
@@ -317,7 +318,11 @@ pass_conference() {
 # tick_media) and checks that the replay reproduced it exactly — decode
 # digests, label traces, room speaker traces — the one check that
 # catches SessionManager::tick diverging from Session::pump_audio.  The
-# pass fails unless every result line reads "correct": true.
+# pass fails unless every result line reads "correct": true and
+# serve.label_wait_ticks_mean 0: every workload runs below the
+# batcher's capacity, so any label that waits a tick means a flush
+# deadline came back or the replay drifted from the server's flush
+# rule.
 pass_perfbench() {
   local dir=.bench_build/perfbench
   echo "=== [perfbench] configure + build ($dir) ==="
@@ -336,9 +341,12 @@ print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
                --trace 1 | tail -n 1) || true
     if ! python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
-print("correct=%s attempted=%d failed=%d" % (r["correct"], r["attempted"], r["failed"]))
-sys.exit(0 if r["correct"] is True else 1)' "$result"; then
-      echo "FAIL: perfbench $wl did not read \"correct\": true" >&2
+wait = r["metrics"].get("serve.label_wait_ticks_mean", {}).get("value")
+print("correct=%s attempted=%d failed=%d label_wait_ticks_mean=%s"
+      % (r["correct"], r["attempted"], r["failed"], wait))
+sys.exit(0 if r["correct"] is True and wait == 0 else 1)' "$result"; then
+      echo "FAIL: perfbench $wl did not read \"correct\": true with" \
+           "serve.label_wait_ticks_mean 0" >&2
       exit 1
     fi
   done
