@@ -5,7 +5,10 @@
 //      timed against the un-instrumented strict decoder on the same
 //      stream — after a hard byte-identity check.  The paper-level
 //      budget is < 1% decode-throughput cost; the gate here is 2% to
-//      leave room for timer noise (min-of-N keeps that small).
+//      leave room for timer noise (min-of-N keeps that small).  Both
+//      sides decode on the calling thread (pool off): the test pictures
+//      are small enough that deblocking's pool hand-off would swamp
+//      the difference being measured.
 //   2. What does decoding cost while faults fire and the decoder
 //      resyncs?  Faulted streams (rate 0.1) through the resilient
 //      decoder, reported as throughput plus recovery counters.
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "fault/bitstream_faults.hpp"
 #include "fault/plan.hpp"
 #include "fault/scenario.hpp"
@@ -97,9 +101,12 @@ int main(int argc, char** argv) {
   // ---- 1. Clean-path overhead ---------------------------------------
   // Interleaved repetitions (strict, resilient, strict, ...) so both
   // configurations sample the same cache/frequency conditions; min-of-N
-  // on each side discards scheduler noise.
+  // on each side discards scheduler noise.  The pool is off while they
+  // run, so the gate times the decoder, not thread hand-off.
   double strict_s = std::numeric_limits<double>::infinity();
   double clean_s = std::numeric_limits<double>::infinity();
+  const std::size_t threads = core::global_threads();
+  core::set_global_threads(0);
   decode_rep(strict_cfg, stream, kDecodesPerRep);  // warmup, untimed
   for (int rep = 0; rep < kReps; ++rep) {
     strict_s = std::min(strict_s, decode_rep(strict_cfg, stream,
@@ -107,6 +114,7 @@ int main(int argc, char** argv) {
     clean_s = std::min(clean_s, decode_rep(resilient_cfg, injected,
                                            kDecodesPerRep));
   }
+  core::set_global_threads(threads);
   const double overhead_pct = (clean_s / strict_s - 1.0) * 100.0;
   const double stream_mb =
       static_cast<double>(stream.size()) / (1024.0 * 1024.0);

@@ -9,7 +9,13 @@
 //
 // Real-time criterion: a tick advances tick_s = 100 ms of media time,
 // so a session count is "sustained" when the p99 tick wall time stays
-// under 100 ms — the server keeps up with capture even at its slowest.
+// under 100 ms — the server keeps up with capture even at its slowest —
+// and no session shed a frame or dropped a window during the timed
+// ticks (a server that sheds keeps its tick short by doing less work).
+// The active sweep doubles the session count from 1 until the first
+// point fails (or 1,024 sessions, to bound memory), so
+// sustained_sessions is the knee, and knee_limit names what failed
+// there: "p99", "shed", or both.
 //
 // Warm-up: every sweep point runs long enough before the timed region
 // for the steady state to establish — staging rings, buffer pool and
@@ -33,6 +39,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "affect/speech_synth.hpp"
@@ -61,7 +68,12 @@ struct SweepPoint {
   double windows_per_sec = 0.0;
   std::uint64_t batched_windows = 0;
   std::uint64_t session_runs = 0;  ///< due-list work actually executed
-  bool realtime = false;
+  std::uint64_t frames_shed = 0;      ///< over the timed ticks
+  std::uint64_t windows_dropped = 0;  ///< over the timed ticks
+  bool realtime = false;  ///< p99 within the tick
+  /// Empty when the point is sustained, else what failed: "p99",
+  /// "shed" (frames shed or windows dropped), or "p99+shed".
+  std::string limit;
 };
 
 double percentile(std::vector<double> v, double p) {
@@ -98,16 +110,28 @@ SweepPoint run_sweep_point(const serve::SessionEnv& env,
   // stride and turns each 5th tick into an N-window burst — a
   // worst-case the server survives via its backlog, but not a steady
   // state to size capacity from.
+  std::vector<serve::SessionId> ids;
   for (std::size_t i = 0; i < n;) {
     for (std::size_t j = 0; j < admit_per_tick && i < n; ++j, ++i) {
-      server.create_session();
+      ids.push_back(server.create_session());
     }
     server.tick();
   }
+  // Frames shed and windows dropped so far, summed over the fleet.
+  const auto shed = [&] {
+    std::pair<std::uint64_t, std::uint64_t> sum{0, 0};
+    for (const serve::SessionId id : ids) {
+      const serve::Session& s = server.session(id);
+      sum.first += s.stats().frames_dropped;
+      sum.second += s.dropped_windows();
+    }
+    return sum;
+  };
 
   for (int t = 0; t < warmup_ticks; ++t) server.tick();
   const auto windows_before = server.batcher_stats().windows;
   const auto runs_before = server.stats().session_runs;
+  const auto shed_before = shed();
 
   std::vector<double> tick_ms;
   tick_ms.reserve(static_cast<std::size_t>(timed_ticks));
@@ -119,6 +143,7 @@ SweepPoint run_sweep_point(const serve::SessionEnv& env,
         std::chrono::duration<double, std::milli>(Clock::now() - a).count());
   }
   const double total_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  const auto shed_after = shed();
 
   SweepPoint pt;
   pt.sessions = n;
@@ -135,7 +160,12 @@ SweepPoint run_sweep_point(const serve::SessionEnv& env,
           : 0.0;
   pt.batched_windows = server.batcher_stats().batched_windows;
   pt.session_runs = server.stats().session_runs - runs_before;
+  pt.frames_shed = shed_after.first - shed_before.first;
+  pt.windows_dropped = shed_after.second - shed_before.second;
   pt.realtime = pt.p99_ms <= cfg.session.tick_s * 1000.0;
+  const bool shedding = pt.frames_shed != 0 || pt.windows_dropped != 0;
+  pt.limit = !pt.realtime ? (shedding ? "p99+shed" : "p99")
+                          : (shedding ? "shed" : "");
   return pt;
 }
 
@@ -199,7 +229,8 @@ struct BatchResult {
 };
 
 /// Times the inference stage alone: the same `rows` pending windows,
-/// flushed through a batched and an unbatched batcher, repeatedly.
+/// flushed through a batched batcher and one forced onto the per-window
+/// fallback, repeatedly.
 BatchResult run_batch_compare(affect::AffectClassifier& clf,
                               std::size_t rows, int reps) {
   affect::FeatureExtractor fx(clf.feature_config());
@@ -227,8 +258,8 @@ BatchResult run_batch_compare(affect::AffectClassifier& clf,
   auto time_mode = [&](bool batched) {
     serve::BatcherConfig cfg;
     cfg.max_batch = rows;
-    cfg.batched = batched;
     serve::InferenceBatcher b(clf, cfg);
+    b.force_fallback(!batched);
     // Warm flush: batch/workspace matrices at capacity before timing.
     flush_once(b);
     double best = std::numeric_limits<double>::infinity();
@@ -249,10 +280,9 @@ BatchResult run_batch_compare(affect::AffectClassifier& clf,
   // modes produce the same floats.
   serve::BatcherConfig bc;
   bc.max_batch = rows;
-  bc.batched = true;
   serve::InferenceBatcher bb(clf, bc);
-  bc.batched = false;
   serve::InferenceBatcher ub(clf, bc);
+  ub.force_fallback(true);
   const auto rb = flush_once(bb);
   const auto ru = flush_once(ub);
   for (std::size_t i = 0; i < rows; ++i) {
@@ -275,16 +305,21 @@ void write_point(obs::JsonWriter& w, const SweepPoint& pt) {
   w.key("mean_tick_ms").value(pt.mean_ms);
   w.key("windows_per_sec").value(pt.windows_per_sec);
   w.key("session_runs").value(pt.session_runs);
+  w.key("frames_shed").value(pt.frames_shed);
+  w.key("windows_dropped").value(pt.windows_dropped);
   w.key("realtime").value(pt.realtime);
+  w.key("sustained").value(pt.limit.empty());
   w.end_object();
 }
 
 void print_point(const char* tag, const SweepPoint& pt) {
   std::printf(
       "%s %4zu sessions: p10 %6.2f  p50 %6.2f  p99 %6.2f ms  "
-      "%7.1f win/s  %s\n",
+      "%7.1f win/s  shed %llu frames, %llu windows  %s\n",
       tag, pt.sessions, pt.p10_ms, pt.p50_ms, pt.p99_ms, pt.windows_per_sec,
-      pt.realtime ? "realtime" : "OVER BUDGET");
+      static_cast<unsigned long long>(pt.frames_shed),
+      static_cast<unsigned long long>(pt.windows_dropped),
+      pt.limit.empty() ? "sustained" : ("FAILS: " + pt.limit).c_str());
 }
 
 }  // namespace
@@ -306,21 +341,23 @@ int main(int argc, char** argv) {
   env.app_table = &table;
   env.catalog = &catalog;
 
-  // ---- active sweep: always-on sessions, serving configuration.
-  const std::vector<std::size_t> counts = {1, 2, 4, 8, 16, 32, 64};
+  // ---- active sweep: always-on sessions, serving configuration,
+  // doubling until the first point fails (the knee).
+  constexpr std::size_t kMaxActive = 1024;
   std::vector<SweepPoint> sweep;
   std::size_t sustained = 0;
-  bool prefix_realtime = true;
-  for (const std::size_t n : counts) {
+  std::string knee_limit = "none up to " + std::to_string(kMaxActive);
+  for (std::size_t n = 1; n <= kMaxActive; n *= 2) {
     const SweepPoint pt =
         run_sweep_point(env, serving_config(), n, /*admit_per_tick=*/1,
                         /*warmup_ticks=*/40, /*timed_ticks=*/60);
     print_point("active", pt);
-    // Sustained = largest count with every smaller count also real
-    // time; a lucky large-N run does not count past a failure.
-    prefix_realtime = prefix_realtime && pt.realtime;
-    if (prefix_realtime) sustained = n;
     sweep.push_back(pt);
+    if (!pt.limit.empty()) {
+      knee_limit = pt.limit;
+      break;
+    }
+    sustained = n;
   }
 
   // ---- idle sweep: mostly-idle duty-cycled fleet on the wheel.
@@ -331,7 +368,7 @@ int main(int argc, char** argv) {
                               std::size_t{1024}}) {
     const SweepPoint pt = run_idle_point(env, n);
     print_point("idle  ", pt);
-    idle_prefix = idle_prefix && pt.realtime;
+    idle_prefix = idle_prefix && pt.limit.empty();
     if (idle_prefix) sustained_idle = n;
     idle.push_back(pt);
   }
@@ -362,6 +399,7 @@ int main(int argc, char** argv) {
   w.key("bench").value("serve");
   bench::write_host_info(w);
   w.key("sustained_sessions").value(static_cast<std::uint64_t>(sustained));
+  w.key("knee_limit").value(knee_limit);
   w.key("sustained_idle_sessions")
       .value(static_cast<std::uint64_t>(sustained_idle));
   w.key("steady_state_allocs").value(static_cast<std::int64_t>(steady_allocs));
@@ -391,8 +429,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }
-  std::printf("sustained sessions: %zu (idle: %zu)\nwrote %s\n", sustained,
-              sustained_idle, out_path.c_str());
+  std::printf("sustained sessions: %zu, knee limit: %s (idle: %zu)\n"
+              "wrote %s\n",
+              sustained, knee_limit.c_str(), sustained_idle, out_path.c_str());
 
   if (!b8.identical || !b16.identical) {
     std::fprintf(stderr, "FAIL: batched results not bit-identical\n");

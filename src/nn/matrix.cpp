@@ -4,10 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "core/thread_pool.hpp"
 
 namespace affectsys::nn {
@@ -242,306 +238,6 @@ Matrix Matrix::matmul_reference(const Matrix& o) const {
     kernel(0, rows_);
   }
   return out;
-}
-
-#if defined(__AVX2__)
-
-namespace {
-
-/// Two adjacent int8 A values packed as a (lo, hi) s16 pair and
-/// broadcast-ready for vpmaddwd: madd(pair, interleaved-B) computes
-/// a[p]*b[p] + a[p+1]*b[p+1] per int32 lane — 16 int8 MACs per
-/// instruction, twice an fp32 FMA's width, which is where the int8
-/// rung's speedup comes from (on top of the 4x smaller B panel).
-inline std::int32_t a_pair(const std::int8_t* row, std::size_t p) {
-  return static_cast<std::int32_t>(static_cast<std::uint16_t>(
-             static_cast<std::int16_t>(row[p]))) |
-         (static_cast<std::int32_t>(row[p + 1]) << 16);
-}
-
-inline std::int32_t a_last(const std::int8_t* row, std::size_t p) {
-  // Odd-k tail: pair the final A value with 0 (madd adds 0*b).
-  return static_cast<std::int32_t>(static_cast<std::uint16_t>(
-      static_cast<std::int16_t>(row[p])));
-}
-
-/// 16 int8 B values sign-extended to s16.
-inline __m256i load_b16(const std::int8_t* p) {
-  return _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-}  // namespace
-
-// AVX2 kernel: 4 output rows x 16 output columns per register tile, k
-// consumed in pairs through vpmaddwd.  Interleaving two B rows with
-// unpacklo/hi permutes columns within 128-bit lanes, so the two
-// accumulators per row hold columns [0-3, 8-11] and [4-7, 12-15]; one
-// permute2x128 at store time puts them back.  Integer addition is
-// associative and every product is exact, so this equals the naive
-// reference to the last bit (bench_kernels memcmps them) — the pairing
-// changes the summation *order* only.  Intermediates fit: |a*b| <=
-// 127^2, two per madd lane, summed over k/2 pairs — safe for k well
-// past the documented 131072 bound.
-void int8_gemm(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               std::size_t m, std::size_t k, std::size_t n) {
-  constexpr std::size_t kMr = kRowBlock;
-  constexpr std::size_t kNr = 16;
-  const std::size_t pairs = (k + 1) / 2;
-  auto kernel = [&](std::size_t r0, std::size_t r1) {
-    // Pre-packed A pairs for one row block, rebuilt per block and
-    // reused across every column block: the hot loop then broadcasts a
-    // ready-made s16 pair straight from memory (one vpbroadcastd)
-    // instead of sign-extending and shifting scalars each iteration.
-    // The odd-k tail packs (a[k-1], 0), matching the zero row the B
-    // tail interleaves against.
-    std::vector<std::int32_t> packed(kMr * pairs);
-    const auto pack_row = [&](const std::int8_t* row, std::size_t slot) {
-      std::int32_t* dst = packed.data() + slot * pairs;
-      std::size_t p = 0;
-      for (; p + 2 <= k; p += 2) dst[p / 2] = a_pair(row, p);
-      if (p < k) dst[p / 2] = a_last(row, p);
-    };
-    std::size_t r = r0;
-    for (; r + kMr <= r1; r += kMr) {
-      for (std::size_t i = 0; i < kMr; ++i) pack_row(a + (r + i) * k, i);
-      const std::int32_t* __restrict ap0 = packed.data();
-      const std::int32_t* __restrict ap1 = packed.data() + pairs;
-      const std::int32_t* __restrict ap2 = packed.data() + 2 * pairs;
-      const std::int32_t* __restrict ap3 = packed.data() + 3 * pairs;
-      std::int32_t* __restrict o0 = c + (r + 0) * n;
-      std::int32_t* __restrict o1 = c + (r + 1) * n;
-      std::int32_t* __restrict o2 = c + (r + 2) * n;
-      std::int32_t* __restrict o3 = c + (r + 3) * n;
-      std::size_t c0 = 0;
-      for (; c0 + kNr <= n; c0 += kNr) {
-        __m256i acc0l = _mm256_setzero_si256(), acc0h = acc0l;
-        __m256i acc1l = acc0l, acc1h = acc0l;
-        __m256i acc2l = acc0l, acc2h = acc0l;
-        __m256i acc3l = acc0l, acc3h = acc0l;
-        std::size_t p = 0;
-        for (; p + 2 <= k; p += 2) {
-          const __m256i bp = load_b16(b + p * n + c0);
-          const __m256i bq = load_b16(b + (p + 1) * n + c0);
-          const __m256i blo = _mm256_unpacklo_epi16(bp, bq);
-          const __m256i bhi = _mm256_unpackhi_epi16(bp, bq);
-          const __m256i v0 = _mm256_set1_epi32(ap0[p / 2]);
-          acc0l = _mm256_add_epi32(acc0l, _mm256_madd_epi16(v0, blo));
-          acc0h = _mm256_add_epi32(acc0h, _mm256_madd_epi16(v0, bhi));
-          const __m256i v1 = _mm256_set1_epi32(ap1[p / 2]);
-          acc1l = _mm256_add_epi32(acc1l, _mm256_madd_epi16(v1, blo));
-          acc1h = _mm256_add_epi32(acc1h, _mm256_madd_epi16(v1, bhi));
-          const __m256i v2 = _mm256_set1_epi32(ap2[p / 2]);
-          acc2l = _mm256_add_epi32(acc2l, _mm256_madd_epi16(v2, blo));
-          acc2h = _mm256_add_epi32(acc2h, _mm256_madd_epi16(v2, bhi));
-          const __m256i v3 = _mm256_set1_epi32(ap3[p / 2]);
-          acc3l = _mm256_add_epi32(acc3l, _mm256_madd_epi16(v3, blo));
-          acc3h = _mm256_add_epi32(acc3h, _mm256_madd_epi16(v3, bhi));
-        }
-        if (p < k) {
-          const __m256i bp = load_b16(b + p * n + c0);
-          const __m256i zero = _mm256_setzero_si256();
-          const __m256i blo = _mm256_unpacklo_epi16(bp, zero);
-          const __m256i bhi = _mm256_unpackhi_epi16(bp, zero);
-          const __m256i v0 = _mm256_set1_epi32(ap0[p / 2]);
-          acc0l = _mm256_add_epi32(acc0l, _mm256_madd_epi16(v0, blo));
-          acc0h = _mm256_add_epi32(acc0h, _mm256_madd_epi16(v0, bhi));
-          const __m256i v1 = _mm256_set1_epi32(ap1[p / 2]);
-          acc1l = _mm256_add_epi32(acc1l, _mm256_madd_epi16(v1, blo));
-          acc1h = _mm256_add_epi32(acc1h, _mm256_madd_epi16(v1, bhi));
-          const __m256i v2 = _mm256_set1_epi32(ap2[p / 2]);
-          acc2l = _mm256_add_epi32(acc2l, _mm256_madd_epi16(v2, blo));
-          acc2h = _mm256_add_epi32(acc2h, _mm256_madd_epi16(v2, bhi));
-          const __m256i v3 = _mm256_set1_epi32(ap3[p / 2]);
-          acc3l = _mm256_add_epi32(acc3l, _mm256_madd_epi16(v3, blo));
-          acc3h = _mm256_add_epi32(acc3h, _mm256_madd_epi16(v3, bhi));
-        }
-        const auto store = [&](std::int32_t* o, __m256i lo, __m256i hi) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + c0),
-                              _mm256_permute2x128_si256(lo, hi, 0x20));
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + c0 + 8),
-                              _mm256_permute2x128_si256(lo, hi, 0x31));
-        };
-        store(o0, acc0l, acc0h);
-        store(o1, acc1l, acc1h);
-        store(o2, acc2l, acc2h);
-        store(o3, acc3l, acc3h);
-      }
-      for (; c0 < n; ++c0) {
-        const std::int8_t* __restrict a0 = a + (r + 0) * k;
-        const std::int8_t* __restrict a1 = a + (r + 1) * k;
-        const std::int8_t* __restrict a2 = a + (r + 2) * k;
-        const std::int8_t* __restrict a3 = a + (r + 3) * k;
-        std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const std::int32_t bv = b[kk * n + c0];
-          s0 += a0[kk] * bv;
-          s1 += a1[kk] * bv;
-          s2 += a2[kk] * bv;
-          s3 += a3[kk] * bv;
-        }
-        o0[c0] = s0;
-        o1[c0] = s1;
-        o2[c0] = s2;
-        o3[c0] = s3;
-      }
-    }
-    for (; r < r1; ++r) {
-      const std::int8_t* __restrict arow = a + r * k;
-      std::int32_t* __restrict orow = c + r * n;
-      pack_row(arow, 0);
-      const std::int32_t* __restrict apk = packed.data();
-      std::size_t c0 = 0;
-      for (; c0 + kNr <= n; c0 += kNr) {
-        __m256i accl = _mm256_setzero_si256(), acch = accl;
-        std::size_t p = 0;
-        for (; p + 2 <= k; p += 2) {
-          const __m256i bp = load_b16(b + p * n + c0);
-          const __m256i bq = load_b16(b + (p + 1) * n + c0);
-          const __m256i ap = _mm256_set1_epi32(apk[p / 2]);
-          accl = _mm256_add_epi32(
-              accl, _mm256_madd_epi16(ap, _mm256_unpacklo_epi16(bp, bq)));
-          acch = _mm256_add_epi32(
-              acch, _mm256_madd_epi16(ap, _mm256_unpackhi_epi16(bp, bq)));
-        }
-        if (p < k) {
-          const __m256i bp = load_b16(b + p * n + c0);
-          const __m256i zero = _mm256_setzero_si256();
-          const __m256i ap = _mm256_set1_epi32(apk[p / 2]);
-          accl = _mm256_add_epi32(
-              accl, _mm256_madd_epi16(ap, _mm256_unpacklo_epi16(bp, zero)));
-          acch = _mm256_add_epi32(
-              acch, _mm256_madd_epi16(ap, _mm256_unpackhi_epi16(bp, zero)));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow + c0),
-                            _mm256_permute2x128_si256(accl, acch, 0x20));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow + c0 + 8),
-                            _mm256_permute2x128_si256(accl, acch, 0x31));
-      }
-      for (; c0 < n; ++c0) {
-        std::int32_t s = 0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          s += static_cast<std::int32_t>(arow[kk]) * b[kk * n + c0];
-        }
-        orow[c0] = s;
-      }
-    }
-  };
-  if (core::global_threads() > 0 && m * k * n >= kParallelFlopThreshold) {
-    core::parallel_for(0, m, row_grain(m), kernel);
-  } else {
-    kernel(0, m);
-  }
-}
-
-#else  // !__AVX2__
-
-void int8_gemm(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               std::size_t m, std::size_t k, std::size_t n) {
-  std::fill(c, c + m * n, 0);
-  // Same 4 x 32 register tile as the float micro-kernel above, but the
-  // B panel streams one byte per weight instead of four — at classifier
-  // shapes the fp32 product is bound on exactly that traffic, which is
-  // where the int8 speedup comes from.  Integer accumulation is
-  // associative, so tiling cannot change the result: blocked == naive
-  // to the last bit (bench_kernels memcmps them).
-  constexpr std::size_t kMr = kRowBlock;
-  constexpr std::size_t kNr = 32;
-  auto kernel = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t k0 = 0; k0 < k; k0 += kKBlock) {
-      const std::size_t k1 = std::min(k, k0 + kKBlock);
-      std::size_t r = r0;
-      for (; r + kMr <= r1; r += kMr) {
-        const std::int8_t* __restrict a0 = a + (r + 0) * k;
-        const std::int8_t* __restrict a1 = a + (r + 1) * k;
-        const std::int8_t* __restrict a2 = a + (r + 2) * k;
-        const std::int8_t* __restrict a3 = a + (r + 3) * k;
-        std::int32_t* __restrict o0 = c + (r + 0) * n;
-        std::int32_t* __restrict o1 = c + (r + 1) * n;
-        std::int32_t* __restrict o2 = c + (r + 2) * n;
-        std::int32_t* __restrict o3 = c + (r + 3) * n;
-        std::size_t c0 = 0;
-        for (; c0 + kNr <= n; c0 += kNr) {
-          std::int32_t acc[kMr][kNr] = {};
-          for (std::size_t kk = k0; kk < k1; ++kk) {
-            const std::int8_t* __restrict brow = b + kk * n + c0;
-            const std::int32_t av0 = a0[kk], av1 = a1[kk];
-            const std::int32_t av2 = a2[kk], av3 = a3[kk];
-            for (std::size_t j = 0; j < kNr; ++j) {
-              const std::int32_t bv = brow[j];
-              acc[0][j] += av0 * bv;
-              acc[1][j] += av1 * bv;
-              acc[2][j] += av2 * bv;
-              acc[3][j] += av3 * bv;
-            }
-          }
-          for (std::size_t j = 0; j < kNr; ++j) {
-            o0[c0 + j] += acc[0][j];
-            o1[c0 + j] += acc[1][j];
-            o2[c0 + j] += acc[2][j];
-            o3[c0 + j] += acc[3][j];
-          }
-        }
-        for (std::size_t cc = c0; cc < n; ++cc) {
-          std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-          for (std::size_t kk = k0; kk < k1; ++kk) {
-            const std::int32_t bv = b[kk * n + cc];
-            s0 += a0[kk] * bv;
-            s1 += a1[kk] * bv;
-            s2 += a2[kk] * bv;
-            s3 += a3[kk] * bv;
-          }
-          o0[cc] += s0;
-          o1[cc] += s1;
-          o2[cc] += s2;
-          o3[cc] += s3;
-        }
-      }
-      for (; r < r1; ++r) {
-        const std::int8_t* __restrict arow = a + r * k;
-        std::int32_t* __restrict orow = c + r * n;
-        std::size_t c0 = 0;
-        for (; c0 + kNr <= n; c0 += kNr) {
-          std::int32_t acc[kNr] = {};
-          for (std::size_t kk = k0; kk < k1; ++kk) {
-            const std::int8_t* __restrict brow = b + kk * n + c0;
-            const std::int32_t av = arow[kk];
-            for (std::size_t j = 0; j < kNr; ++j) acc[j] += av * brow[j];
-          }
-          for (std::size_t j = 0; j < kNr; ++j) orow[c0 + j] += acc[j];
-        }
-        for (std::size_t cc = c0; cc < n; ++cc) {
-          std::int32_t s = 0;
-          for (std::size_t kk = k0; kk < k1; ++kk) {
-            s += static_cast<std::int32_t>(arow[kk]) * b[kk * n + cc];
-          }
-          orow[cc] += s;
-        }
-      }
-    }
-  };
-  if (core::global_threads() > 0 && m * k * n >= kParallelFlopThreshold) {
-    core::parallel_for(0, m, row_grain(m), kernel);
-  } else {
-    kernel(0, m);
-  }
-}
-
-#endif  // __AVX2__
-
-void int8_gemm_reference(const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c, std::size_t m, std::size_t k,
-                         std::size_t n) {
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t cc = 0; cc < n; ++cc) {
-      std::int32_t s = 0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        s += static_cast<std::int32_t>(a[r * k + kk]) *
-             static_cast<std::int32_t>(b[kk * n + cc]);
-      }
-      c[r * n + cc] = s;
-    }
-  }
 }
 
 Matrix Matrix::transposed_matmul(const Matrix& o) const {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
@@ -84,20 +83,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<float> data_;
 };
-
-/// C (m x n, int32) = A (m x k, int8) x B (k x n, int8), all row-major.
-/// int32 accumulation never overflows for k <= 131072 (|a*b| <= 127^2).
-/// Register-blocked like Matrix::matmul_into (4 x 32 accumulator tile,
-/// k-tiled); integer addition is associative, so the blocked kernel is
-/// exactly equal to int8_gemm_reference — no tolerance, memcmp-equal.
-/// `c` must not alias `a` or `b`.
-void int8_gemm(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               std::size_t m, std::size_t k, std::size_t n);
-
-/// Naive triple loop, kept as the bench baseline and the exact-identity
-/// reference for int8_gemm.
-void int8_gemm_reference(const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c, std::size_t m, std::size_t k,
-                         std::size_t n);
 
 }  // namespace affectsys::nn

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <stdexcept>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace affectsys::nn {
 namespace {
@@ -74,175 +68,6 @@ std::size_t quantize_model_inplace(Sequential& model, QuantGranularity g) {
     p->value = q.dequantize();
   }
   return bytes;
-}
-
-void quantize_rows_into(const Matrix& m, RowQuantized& q) {
-  q.rows = m.rows();
-  q.cols = m.cols();
-  q.values.resize(m.size());
-  q.scales.resize(m.rows());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const std::span<const float> row = m.row(r);
-    float mx = 0.0f;
-    std::size_t i = 0;
-#if defined(__AVX2__)
-    // max is exact and order-independent over finite floats, so the
-    // vector reduction equals the scalar scan.
-    const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-    __m256 vmx = _mm256_setzero_ps();
-    for (; i + 8 <= row.size(); i += 8) {
-      vmx = _mm256_max_ps(vmx,
-                          _mm256_and_ps(_mm256_loadu_ps(row.data() + i),
-                                        abs_mask));
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, vmx);
-    for (const float v : lanes) mx = std::max(mx, v);
-#endif
-    for (; i < row.size(); ++i) mx = std::max(mx, std::abs(row[i]));
-    // A zero-range row quantizes to scale 0 / all-zero values, which
-    // dequantizes exactly (0 * scale == the original 0).
-    const float scale = mx / 127.0f;
-    q.scales[r] = scale;
-    std::int8_t* __restrict out = q.values.data() + r * m.cols();
-    if (mx <= 0.0f || !std::isfinite(mx)) {
-      std::memset(out, 0, row.size());
-      continue;
-    }
-    // Multiply by the reciprocal instead of dividing per element: a
-    // float divide per activation is most of quantization's cost on the
-    // hot forward path.  |v| <= mx by construction, so v * inv stays in
-    // [-127, 127] up to rounding — the clamp only trims the half-ulp
-    // spill at the extremes (and keeps the int8 cast defined).
-    const float inv = 127.0f / mx;
-    std::size_t c = 0;
-#if defined(__AVX2__)
-    // 32 floats -> 32 int8 per iteration: scale, convert (vcvtps2dq
-    // rounds to nearest even), pack with saturation, restore dword
-    // order.  |v| <= mx, so |v * inv| <= 127 and the pack saturation
-    // never engages past the +-127 the scalar tail clamps to.
-    const __m256 vinv = _mm256_set1_ps(inv);
-    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-    const float* __restrict src = row.data();
-    for (; c + 32 <= row.size(); c += 32) {
-      const __m256i i0 =
-          _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(src + c), vinv));
-      const __m256i i1 = _mm256_cvtps_epi32(
-          _mm256_mul_ps(_mm256_loadu_ps(src + c + 8), vinv));
-      const __m256i i2 = _mm256_cvtps_epi32(
-          _mm256_mul_ps(_mm256_loadu_ps(src + c + 16), vinv));
-      const __m256i i3 = _mm256_cvtps_epi32(
-          _mm256_mul_ps(_mm256_loadu_ps(src + c + 24), vinv));
-      const __m256i packed = _mm256_packs_epi16(_mm256_packs_epi32(i0, i1),
-                                                _mm256_packs_epi32(i2, i3));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c),
-                          _mm256_permutevar8x32_epi32(packed, order));
-    }
-#endif
-    for (; c < row.size(); ++c) {
-      // lrintf: round to nearest even, matching vcvtps2dq above.
-      const long qv = std::lrintf(row[c] * inv);
-      out[c] = static_cast<std::int8_t>(
-          std::clamp<long>(qv, -127, 127));
-    }
-  }
-}
-
-std::optional<QuantizedMlp> QuantizedMlp::from(Sequential& model) {
-  if (model.layer_count() < 2 || model.layer(0).kind() != "flatten") {
-    return std::nullopt;
-  }
-  QuantizedMlp q;
-  for (std::size_t i = 1; i < model.layer_count(); ++i) {
-    const std::string kind = model.layer(i).kind();
-    if (kind == "dense") {
-      const std::vector<Param*> params = model.layer(i).params();
-      if (params.size() != 2) return std::nullopt;
-      DenseLayer dl;
-      dl.weight = quantize_tensor(params[0]->value,
-                                  QuantGranularity::kPerChannel);
-      dl.bias.assign(params[1]->value.flat().begin(),
-                     params[1]->value.flat().end());
-      if (q.layers_.empty()) q.input_features_ = dl.weight.rows;
-      q.output_features_ = dl.weight.cols;
-      q.layers_.push_back(std::move(dl));
-    } else if (kind == "relu") {
-      if (q.layers_.empty()) return std::nullopt;
-      q.layers_.back().relu = true;
-    } else {
-      // tanh/sigmoid heads (or CNN/LSTM bodies) stay on fp32.
-      return std::nullopt;
-    }
-  }
-  if (q.layers_.empty()) return std::nullopt;
-  return q;
-}
-
-const Matrix& QuantizedMlp::forward(const Matrix& x, QuantWorkspace& ws) const {
-  if (x.cols() != input_features_) {
-    throw std::invalid_argument("QuantizedMlp: input width mismatch");
-  }
-  const Matrix* cur = &x;
-  Matrix* next = &ws.a;
-  for (const DenseLayer& dl : layers_) {
-    // Per-row activation scales: a batch row's result is a function of
-    // that row alone, so batched and single-row execution agree exactly
-    // (the batcher's homogeneity contract, int8 edition).
-    quantize_rows_into(*cur, ws.act);
-    const std::size_t m = ws.act.rows;
-    const std::size_t k = dl.weight.rows;
-    const std::size_t n = dl.weight.cols;
-    ws.acc.resize(m * n);
-    int8_gemm(ws.act.values.data(), dl.weight.values.data(), ws.acc.data(),
-              m, k, n);
-    next->reshape(m, n);
-    const bool per_channel = dl.weight.scales.size() == n && n > 1;
-    const float* __restrict col_scales = dl.weight.scales.data();
-    const float* __restrict bias = dl.bias.data();
-    for (std::size_t r = 0; r < m; ++r) {
-      const float row_scale = ws.act.scales[r];
-      const std::int32_t* __restrict acc = ws.acc.data() + r * n;
-      float* __restrict out = next->row(r).data();
-      if (per_channel) {
-        for (std::size_t c = 0; c < n; ++c) {
-          out[c] = static_cast<float>(acc[c]) * (row_scale * col_scales[c]) +
-                   bias[c];
-        }
-      } else {
-        const float s = row_scale * col_scales[0];
-        for (std::size_t c = 0; c < n; ++c) {
-          out[c] = static_cast<float>(acc[c]) * s + bias[c];
-        }
-      }
-      if (dl.relu) {
-        for (std::size_t c = 0; c < n; ++c) out[c] = std::max(out[c], 0.0f);
-      }
-    }
-    cur = next;
-    next = (next == &ws.a) ? &ws.b : &ws.a;
-  }
-  return *cur;
-}
-
-std::size_t QuantizedMlp::bytes() const {
-  std::size_t total = 0;
-  for (const DenseLayer& dl : layers_) {
-    total += dl.weight.bytes() + dl.bias.size() * sizeof(float);
-  }
-  return total;
-}
-
-void truncate_mantissa(std::span<float> v, unsigned bits) {
-  if (bits == 0) return;  // byte-identity guarantee: memory untouched
-  bits = std::min(bits, 23u);
-  const std::uint32_t mask = ~((std::uint32_t{1} << bits) - 1u);
-  for (float& f : v) {
-    std::uint32_t u;
-    std::memcpy(&u, &f, sizeof(u));
-    if ((u & 0x7f800000u) == 0x7f800000u) continue;  // NaN/inf: keep
-    u &= mask;
-    std::memcpy(&f, &u, sizeof(u));
-  }
 }
 
 float max_quantization_error(const Matrix& m, QuantGranularity g) {

@@ -19,9 +19,8 @@ bool row_wise(const std::string& kind) {
 }  // namespace
 
 InferenceBatcher::InferenceBatcher(affect::AffectClassifier& classifier,
-                                   const BatcherConfig& cfg,
-                                   const LadderRuntime& ladder)
-    : classifier_(classifier), cfg_(cfg), ladder_(ladder) {
+                                   const BatcherConfig& cfg)
+    : classifier_(classifier), cfg_(cfg) {
   if (cfg_.max_batch == 0) {
     throw std::invalid_argument("InferenceBatcher: max_batch must be >= 1");
   }
@@ -36,8 +35,6 @@ InferenceBatcher::InferenceBatcher(affect::AffectClassifier& classifier,
   c_flushes_ = &scope.counter("serve.batch.flushes");
   c_inferences_ = &scope.counter("affect.inferences");
   c_forced_fallbacks_ = &scope.counter("serve.batch.forced_fallbacks");
-  c_int8_windows_ = &scope.counter("serve.batch.int8_windows");
-  c_hdc_windows_ = &scope.counter("serve.batch.hdc_windows");
   h_rows_ = &scope.histogram("serve.batch.rows");
   h_infer_ns_ = &scope.histogram("serve.batch.infer_ns");
 }
@@ -48,22 +45,6 @@ void InferenceBatcher::enqueue(InferenceRequest req) {
 
 bool InferenceBatcher::should_flush(std::uint64_t /*now_tick*/) const {
   return pending() > 0;
-}
-
-void InferenceBatcher::stack_batch(const InferenceRequest* reqs,
-                                   std::size_t n) {
-  const std::size_t flat = reqs[0].size();
-  batch_.reshape(n, flat);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (reqs[r].size() != flat) {
-      throw std::invalid_argument(
-          "InferenceBatcher: inconsistent feature geometry in batch");
-    }
-    // Flatten is a row-major copy, so the sample's flat() span IS its
-    // Flatten output.
-    std::memcpy(batch_.row(r).data(), reqs[r].flat().data(),
-                flat * sizeof(float));
-  }
 }
 
 void InferenceBatcher::row_result_into(std::span<const float> logits_row,
@@ -79,21 +60,8 @@ void InferenceBatcher::row_result_into(std::span<const float> logits_row,
 }
 
 std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
-  std::size_t n = std::min({pending(), cfg_.max_batch, out.size()});
+  const std::size_t n = std::min({pending(), cfg_.max_batch, out.size()});
   if (n == 0) return 0;
-
-  // Rung-homogeneous batches: serve the longest FIFO prefix on the head
-  // window's rung.  Mixed queues flush in segments, but
-  // global FIFO order is never reordered — so the result stream (and
-  // every per-session seq order) is exactly the unsegmented stream, and
-  // an all-fp32 queue (ladder off) takes this loop without effect.
-  const Rung rung = pending_[head_].rung;
-  for (std::size_t r = 1; r < n; ++r) {
-    if (pending_[head_ + r].rung != rung) {
-      n = r;
-      break;
-    }
-  }
 
   ++stats_.flushes;
   stats_.windows += n;
@@ -103,11 +71,7 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
   c_inferences_->add(n);
   obs::ScopedTimerNs timer(*h_infer_ns_);
 
-  // The fault-forced fallback only exists on the fp32 rung: it pushes
-  // windows through the reference full forward, and the cheap rungs
-  // have no second implementation to fall back to (their accuracy cost
-  // is the ladder's, not a fault's).
-  if (force_fallback_ && rung == Rung::kFp32) {
+  if (force_fallback_) {
     ++stats_.forced_fallback_flushes;
     c_forced_fallbacks_->add(1);
   }
@@ -118,44 +82,29 @@ std::size_t InferenceBatcher::flush_into(std::span<RoutedResult> out) {
     out[r].enqueue_tick = reqs[r].enqueue_tick;
     out[r].t_end = reqs[r].t_end;
   }
-  if (rung == Rung::kInt8) {
-    if (ladder_.int8_model == nullptr) {
-      throw std::logic_error("InferenceBatcher: int8 window without model");
-    }
-    stats_.windows_int8 += n;
-    c_int8_windows_->add(n);
-    // Stacked int8 forward.  Per-row activation scales make a batch row
-    // a function of that row alone, so this is bit-identical to running
-    // each window through the quantized model individually.
-    stack_batch(reqs, n);
-    if (n > 1) stats_.batched_windows += n;
-    const nn::Matrix& logits = ladder_.int8_model->forward(batch_, qws_);
-    for (std::size_t r = 0; r < n; ++r) row_result_into(logits.row(r), out[r]);
-  } else if (rung == Rung::kHdc) {
-    if (ladder_.hdc == nullptr) {
-      throw std::logic_error("InferenceBatcher: hdc window without model");
-    }
-    stats_.windows_hdc += n;
-    c_hdc_windows_->add(n);
-    // HDC has no batched form (each window is one encode + popcount
-    // scan); per-window is already the cheap path.
-    for (std::size_t r = 0; r < n; ++r) {
-      const InferenceRequest& req = reqs[r];
-      ladder_.hdc->classify_into(req.flat(), req.rows, req.cols, hws_,
-                                 out[r].result);
-    }
-  } else if (cfg_.batched && batchable_ && !force_fallback_) {
+  if (batchable_ && !force_fallback_) {
     // Stacked path (also taken for a single row, where "stack of one"
     // and full forward are trivially the same product; batched_windows
     // keeps its historical meaning of rows that shared a GEMM).
     if (n > 1) stats_.batched_windows += n;
-    stack_batch(reqs, n);
+    const std::size_t flat = reqs[0].size();
+    batch_.reshape(n, flat);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (reqs[r].size() != flat) {
+        throw std::invalid_argument(
+            "InferenceBatcher: inconsistent feature geometry in batch");
+      }
+      // Flatten is a row-major copy, so the sample's flat() span IS its
+      // Flatten output.
+      std::memcpy(batch_.row(r).data(), reqs[r].flat().data(),
+                  flat * sizeof(float));
+    }
     const nn::Matrix& logits =
         classifier_.model().forward_from_infer(1, batch_, ws_);
     for (std::size_t r = 0; r < n; ++r) row_result_into(logits.row(r), out[r]);
   } else {
-    // Per-window fallback: non-batchable models, batched=false, or a
-    // fault-forced flush — the full reference forward per request.
+    // Per-window fallback: non-batchable models or a forced fallback —
+    // the full reference forward per request.
     for (std::size_t r = 0; r < n; ++r) {
       const InferenceRequest& req = reqs[r];
       fallback_.reshape(req.rows, req.cols);

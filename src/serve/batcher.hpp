@@ -31,9 +31,7 @@
 #include "core/buffer_pool.hpp"
 #include "nn/matrix.hpp"
 #include "nn/model.hpp"
-#include "nn/quantize.hpp"
 #include "obs/metrics.hpp"
-#include "serve/ladder.hpp"
 
 namespace affectsys::serve {
 
@@ -53,10 +51,6 @@ struct InferenceRequest {
   core::BufferRef features;       ///< rows*cols floats, row-major
   std::size_t rows = 0;           ///< timesteps
   std::size_t cols = 0;           ///< feature_dim
-  /// Precision rung this window is served on (stamped by the session
-  /// from the ladder state at staging time; kFp32 when the ladder is
-  /// off).  Batches stay rung-homogeneous — see flush_into().
-  Rung rung = Rung::kFp32;
 
   /// Copies a feature matrix into `features` (from `pool` when given,
   /// heap-backed otherwise).
@@ -91,31 +85,23 @@ struct BatcherConfig {
   /// deadline: a window is classified the tick it is staged unless the
   /// tick's capacity is already spent.
   std::size_t max_batch = 16;
-  /// False runs every window through an individual forward (the
-  /// per-session baseline the bench compares against).
-  bool batched = true;
 };
 
 struct BatcherStats {
   std::uint64_t flushes = 0;
   std::uint64_t windows = 0;
   std::uint64_t batched_windows = 0;  ///< went through the stacked GEMM
-  std::uint64_t forced_fallback_flushes = 0;  ///< fault-forced per-window path
+  std::uint64_t forced_fallback_flushes = 0;  ///< forced per-window path
   std::size_t max_batch_rows = 0;
-  // Ladder rung breakdown (fp32 windows = windows - int8 - hdc).
-  std::uint64_t windows_int8 = 0;
-  std::uint64_t windows_hdc = 0;
 };
 
 class InferenceBatcher {
  public:
   /// The classifier must outlive the batcher.  Inference is serialized
   /// through flush(); the model's activation caches are never touched
-  /// concurrently.  `ladder` carries the cheap-rung models (both null —
-  /// the default — serves every window on fp32; a non-fp32 request with
-  /// its model missing is a logic error, the server caps max_rung).
+  /// concurrently.
   InferenceBatcher(affect::AffectClassifier& classifier,
-                   const BatcherConfig& cfg, const LadderRuntime& ladder = {});
+                   const BatcherConfig& cfg);
 
   /// True when the model shape admits stacked-row batching (Flatten
   /// head followed by dense/elementwise layers only).
@@ -133,21 +119,17 @@ class InferenceBatcher {
   /// into the caller's scratch, reusing each slot's probability-vector
   /// capacity, and returns how many results were written.  The
   /// steady-state serving path: no allocation once scratch is warm.
-  /// Batches are rung-homogeneous: a flush serves the longest FIFO
-  /// prefix sharing the head window's rung, so global FIFO order is
-  /// preserved exactly (ladder-off queues are all-fp32 and the prefix
-  /// is always the whole batch — the byte-identity path).
   std::size_t flush_into(std::span<RoutedResult> out);
 
   /// Allocating convenience wrapper over flush_into() (classifies up to
   /// max_batch pending windows, results in enqueue order).
   std::vector<RoutedResult> flush();
 
-  /// Fault-injection hook: while set, flush() routes every window
-  /// through the per-window fallback path even for batchable models.
-  /// Results stay bit-identical (the batching contract), so a flaky
-  /// batcher only costs throughput — which is exactly the degradation
-  /// the fault suite exercises.
+  /// While set, flush() routes every window through the per-window
+  /// fallback path even for batchable models.  Results stay
+  /// bit-identical (the batching contract), so a flaky batcher only
+  /// costs throughput — the degradation the kBatcherFallback fault
+  /// exercises, and the per-window baseline the serve bench times.
   void force_fallback(bool on) { force_fallback_ = on; }
   bool forced_fallback() const { return force_fallback_; }
 
@@ -155,9 +137,6 @@ class InferenceBatcher {
   const BatcherConfig& config() const { return cfg_; }
 
  private:
-  /// Copies requests [reqs, reqs + n) into batch_ as stacked flat rows
-  /// (all must share one feature geometry).
-  void stack_batch(const InferenceRequest* reqs, std::size_t n);
   /// Fills `out.result` from one logits row, reusing the probability
   /// vector's capacity.
   void row_result_into(std::span<const float> logits_row,
@@ -165,7 +144,6 @@ class InferenceBatcher {
 
   affect::AffectClassifier& classifier_;
   BatcherConfig cfg_;
-  LadderRuntime ladder_;
   bool batchable_ = false;
   bool force_fallback_ = false;
   /// FIFO as a vector plus a consumed-prefix cursor: flushes advance
@@ -180,15 +158,11 @@ class InferenceBatcher {
   nn::Matrix batch_;            ///< stacked flat rows
   nn::ForwardWorkspace ws_;     ///< forward_from_infer ping-pong
   nn::Matrix fallback_;         ///< per-window matrix for the full forward
-  nn::QuantWorkspace qws_;      ///< int8-rung forward scratch
-  affect::HdcWorkspace hws_;    ///< HDC-rung encode/classify scratch
 
   // Cached metric handles (one registry lookup each, at construction).
   obs::Counter* c_flushes_ = nullptr;
   obs::Counter* c_inferences_ = nullptr;
   obs::Counter* c_forced_fallbacks_ = nullptr;
-  obs::Counter* c_int8_windows_ = nullptr;
-  obs::Counter* c_hdc_windows_ = nullptr;
   obs::Histogram* h_rows_ = nullptr;
   obs::Histogram* h_infer_ns_ = nullptr;
 };

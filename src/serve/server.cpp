@@ -48,26 +48,8 @@ SessionManager::SessionManager(const ServerConfig& cfg, const SessionEnv& env)
         "SessionManager: workload and classifier required");
   }
 
-  // Inference ladder: capture the classifier's weights as an int8 model
-  // (rung 1) and adopt the caller's trained HDC classifier (rung 2).
-  // max_rung stops at the first missing model — rung moves are one step
-  // at a time, so an unreachable middle rung would strand the ladder.
-  env_.ladder = &cfg_.ladder;
-  env_.max_rung = Rung::kFp32;
-  if (cfg_.ladder.enabled) {
-    quantized_ = nn::QuantizedMlp::from(env_.classifier->model());
-    if (quantized_.has_value()) {
-      ladder_rt_.int8_model = &*quantized_;
-      env_.max_rung = Rung::kInt8;
-      if (env_.hdc != nullptr && env_.hdc->trained()) {
-        ladder_rt_.hdc = env_.hdc;
-        env_.max_rung = Rung::kHdc;
-      }
-    }
-  }
-
   batcher_ = std::make_unique<InferenceBatcher>(*env_.classifier,
-                                                cfg_.batcher, ladder_rt_);
+                                                cfg_.batcher);
 
   // Pool backing staged feature windows: one block holds one window's
   // feature matrix.  Sized for a busy fleet's worst realistic backlog;
@@ -201,27 +183,6 @@ void SessionManager::update_degrade_level() {
   AFFECTSYS_GAUGE_SET("serve.degrade_level",
                       static_cast<double>(degrade_level_));
   AFFECTSYS_GAUGE_SET("serve.backlog", static_cast<double>(b));
-}
-
-// Same one-step-per-tick hysteresis shape as the degrade ladder, on its
-// own (lower) watermarks: precision is the cheaper knob, so it gives
-// before decode quality does.  Runs before stage A, so the pressure a
-// session sees is a pure function of the backlog at tick entry —
-// deterministic and replayable.
-void SessionManager::update_ladder_pressure() {
-  if (!cfg_.ladder.enabled) return;
-  const std::size_t b = backlog();
-  if (b >= cfg_.ladder.backlog_hi) {
-    ladder_pressure_ =
-        std::min(ladder_pressure_ + 1, static_cast<int>(env_.max_rung));
-  } else if (b <= cfg_.ladder.backlog_lo && ladder_pressure_ > 0) {
-    --ladder_pressure_;
-  }
-  stats_.max_ladder_pressure =
-      std::max(stats_.max_ladder_pressure, ladder_pressure_);
-  if (ladder_pressure_ > 0) ++stats_.ladder_pressure_ticks;
-  AFFECTSYS_GAUGE_SET("serve.ladder.pressure",
-                      static_cast<double>(ladder_pressure_));
 }
 
 std::uint64_t SessionManager::session_errors(const Session& s) {
@@ -392,9 +353,6 @@ void SessionManager::tick() {
     order_.clear();
     build_due();
     stats_.session_runs += order_.size();
-    // Precision pressure for this tick, from the backlog the last tick
-    // left behind (stage A reads it per session).
-    update_ladder_pressure();
   }
 
   // Stage A: audio in three steps (see the header).  The due list's
@@ -403,11 +361,8 @@ void SessionManager::tick() {
   // byte either.
   {
     AFFECTSYS_TIME_SCOPE("serve.stage_ingest_ns");
-    const int pressure = ladder_pressure_;
     core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        order_[i]->ingest_audio(now_tick_, pressure);
-      }
+      for (std::size_t i = b; i < e; ++i) order_[i]->ingest_audio(now_tick_);
     });
   }
   {
@@ -449,17 +404,11 @@ void SessionManager::tick() {
       if (fallback) fault_counts_.record(fault::FaultKind::kBatcherFallback);
       batcher_->force_fallback(fallback);
     }
-    // The service capacity is max_batch rows per tick, so sustained
-    // offered load beyond that grows the backlog and trips the shedding
-    // watermarks instead of silently stretching the tick.  Flushes are
-    // rung-homogeneous, so a queue that mixes ladder rungs spends that
-    // capacity over several flushes (an all-fp32 queue takes one).
-    for (std::size_t served = 0; served < cfg_.batcher.max_batch &&
-                                 batcher_->should_flush(now_tick_);) {
-      const std::size_t n = batcher_->flush_into(
-          {results_.data(), cfg_.batcher.max_batch - served});
-      route({results_.data(), n});
-      served += n;
+    // The service capacity is one max_batch-row flush per tick, so
+    // sustained offered load beyond that grows the backlog and trips the
+    // shedding watermarks instead of silently stretching the tick.
+    if (batcher_->should_flush(now_tick_)) {
+      route({results_.data(), batcher_->flush_into(results_)});
     }
     update_degrade_level();
   }

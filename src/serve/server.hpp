@@ -18,11 +18,10 @@
 //                staged for the batcher;
 //   B. collect staged windows in session-id order (serial, so batch
 //      assembly is deterministic) into the one InferenceBatcher, flush
-//      at most max_batch rows (the service capacity per tick; one batch
-//      unless ladder rungs split it) and route the results back, so
-//      a label is applied before this tick's stage C picks a decoder
-//      mode (serial — the model's activation caches make inference
-//      non-reentrant),
+//      one batch of at most max_batch rows (the service capacity per
+//      tick) and route the results back, so a label is applied before
+//      this tick's stage C picks a decoder mode (serial — the model's
+//      activation caches make inference non-reentrant),
 //   C. tick_media over every due session (parallel_for) under the
 //      current degrade level.
 // Each stage times itself into the registry (serve.stage_*_ns), and the
@@ -64,7 +63,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -124,12 +122,7 @@ struct ServerConfig {
   /// Server-level fault injection (kBatcherFallback fires here); the
   /// per-session kinds ride in each session's own config.
   fault::FaultConfig fault{};
-  /// Approximate-inference ladder (serve/ladder.hpp).  Disabled by
-  /// default: every window serves on fp32 and the pre-ladder byte
-  /// identity holds.  When enabled, the server builds the int8 model
-  /// from the classifier at construction; the HDC rung additionally
-  /// needs a trained classifier in SessionEnv::hdc — max_rung is capped
-  /// at the highest rung that actually has a model.
+  /// Unread (serve/ladder.hpp); kept for callers that assign it.
   LadderConfig ladder{};
 };
 
@@ -151,9 +144,6 @@ struct ServerStats {
   /// ticks * open_sessions for an always-on fleet; far smaller for a
   /// duty-cycled one — the bench's idling evidence.
   std::uint64_t session_runs = 0;
-  // Inference-ladder pressure (both zero with the ladder off).
-  std::uint64_t ladder_pressure_ticks = 0;  ///< ticks at pressure >= 1
-  int max_ladder_pressure = 0;
 };
 
 class SessionManager {
@@ -216,12 +206,6 @@ class SessionManager {
   bool is_quarantined(SessionId id) const;
 
   int degrade_level() const { return degrade_level_; }
-  /// Current precision-pressure level (0..max_rung; 0 with the ladder
-  /// off).  Sessions clamp this by their own stability.
-  int ladder_pressure() const { return ladder_pressure_; }
-  /// Highest rung the ladder can actually serve (what the env's
-  /// sessions see as max_rung).
-  Rung max_rung() const { return env_.max_rung; }
   /// Windows pending inference at the batcher (after stage B every
   /// session's staging buffer is empty, so this is the whole backlog).
   std::size_t backlog() const { return batcher_->pending(); }
@@ -273,7 +257,6 @@ class SessionManager {
   /// times the session's tick_s, plus the wall time since route_t0_.
   double label_age_ns(const RoutedResult& r, double tick_s) const;
   void update_degrade_level();
-  void update_ladder_pressure();
   void update_error_budget();
   static std::uint64_t session_errors(const Session& s);
 
@@ -288,13 +271,6 @@ class SessionManager {
   // destroy in reverse declaration order).
   std::unique_ptr<core::BufferPool> feature_pool_;
   core::BufferPool* feature_pool_ptr_ = nullptr;
-
-  /// Ladder runtime: the int8 capture of the classifier (built here
-  /// when the ladder is enabled and the model shape quantizes) plus the
-  /// caller's HDC model.  Declared before batcher_ — the batcher copies
-  /// ladder_rt_ at construction but the models must outlive it.
-  std::optional<nn::QuantizedMlp> quantized_;
-  LadderRuntime ladder_rt_;
 
   std::unique_ptr<InferenceBatcher> batcher_;
   /// Ordered by id: iteration order (and thus batch assembly and
@@ -312,7 +288,6 @@ class SessionManager {
   /// label_age_ns, never by the control loop.
   std::chrono::steady_clock::time_point route_t0_{};
   int degrade_level_ = 0;
-  int ladder_pressure_ = 0;
   ServerStats stats_;
 
   // Scheduling.

@@ -48,7 +48,6 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
       app_rng_(cfg_.seed ^ 0x9e3779b9u) {
   local_tick_ = start_tick;
   start_tick_ = start_tick;
-  last_rung_change_ = start_tick;
   script_ = env_.workload->make_script(cfg_.seed, cfg_.script_segments);
   if (script_.empty()) {
     throw std::invalid_argument("Session: script_segments must be >= 1");
@@ -130,35 +129,8 @@ void Session::fill_chunk(std::vector<double>& chunk) {
   }
 }
 
-void Session::update_rung(int ladder_pressure) {
-  const LadderConfig* lc = env_.ladder;
-  if (lc == nullptr || !lc->enabled) return;
-  // Eligibility from the session's own emotion stability: the ladder
-  // spends precision where the signal is volatile and saves it where
-  // recent classifications were confident and calm.
-  int eligible = 0;
-  if (conf_ema_ >= lc->conf_int8 && calm_results_ >= lc->calm_windows) {
-    eligible = 1;
-  }
-  if (conf_ema_ >= lc->conf_hdc && calm_results_ >= 2 * lc->calm_windows) {
-    eligible = 2;
-  }
-  const int target = std::min({ladder_pressure, eligible,
-                               static_cast<int>(env_.max_rung)});
-  const int cur = static_cast<int>(rung_);
-  if (target == cur) return;
-  // Dwell hysteresis on the local clock: one step per move, no move
-  // inside the dwell window — a session cannot flap between rungs
-  // faster than hysteresis_ticks, whatever the backlog does.
-  if (local_tick_ - last_rung_change_ < lc->hysteresis_ticks) return;
-  rung_ = static_cast<Rung>(cur + (target > cur ? 1 : -1));
-  last_rung_change_ = local_tick_;
-  ++stats_.rung_switches;
-  if (cfg_.record_trace) rung_trace_.emplace_back(local_tick_, rung_);
-}
-
-void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
-  ingest_audio(tick, ladder_pressure);
+void Session::pump_audio(std::uint64_t tick) {
+  ingest_audio(tick);
   const affect::FeatureExtractor& fx = env_.classifier->features();
   for (std::size_t k = 0; k < features_.size(); ++k) {
     const affect::RowJob job = features_.job(k);
@@ -167,15 +139,12 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
   finish_windows();
 }
 
-void Session::ingest_audio(std::uint64_t tick, int ladder_pressure) {
+void Session::ingest_audio(std::uint64_t tick) {
   ++stats_.ticks;
   current_tick_ = tick;
   // A tick that delivers no audio (stall, dropped chunk) is silence to
   // the active-speaker detector.
   last_energy_ = 0.0;
-  // Rung chosen before any audio is pushed, so every window this tick
-  // stages carries one rung.
-  update_rung(ladder_pressure);
   if (fault_plan_.enabled()) {
     if (stall_remaining_ > 0) {
       // Injected stall: media time passes, no audio arrives.  The
@@ -249,20 +218,6 @@ void Session::stage_window(double t_end, const nn::Matrix& features) {
   req.enqueue_tick = current_tick_;
   req.t_end = t_end;
   req.set_features(features, env_.feature_pool);
-  req.rung = rung_;
-  switch (rung_) {
-    case Rung::kFp32: ++stats_.windows_fp32; break;
-    case Rung::kInt8: ++stats_.windows_int8; break;
-    case Rung::kHdc:  ++stats_.windows_hdc;  break;
-  }
-  // Approximate storage: the staged copy (the bytes that sit in the
-  // pool and feed inference) is bit-truncated; bits == 0 — the default
-  // — touches nothing, which the byte-identity tests pin.
-  if (env_.ladder != nullptr && env_.ladder->truncate_bits > 0) {
-    nn::truncate_mantissa(
-        {reinterpret_cast<float*>(req.features.data()), req.size()},
-        env_.ladder->truncate_bits);
-  }
 }
 
 void Session::drain_staged(InferenceBatcher& b) {
@@ -288,19 +243,13 @@ void Session::record_result(std::uint64_t seq, double t_end,
                                     res.probabilities});
   }
   ++stats_.results_applied;
-  // Ladder stability inputs (pure bookkeeping: nothing downstream of
-  // the classification reads these, so they are free to advance even
-  // ladder-off).
+  // The active-speaker detector's affect input (read only by rooms).
   conf_ema_ = 0.75f * conf_ema_ + 0.25f * res.confidence;
-  ++calm_results_;
   if (const auto stable = pipeline_.apply_label(t_end, res.emotion)) {
     if (cfg_.record_trace) stable_trace_.emplace_back(t_end, *stable);
     policy_mode_ = policy_.mode_for(*stable);
     if (kill_policy_) kill_policy_->set_emotion(*stable);
     ++stats_.mode_switches;
-    // A stable-emotion switch is volatility: the calm streak restarts,
-    // pulling the session back toward the precise rungs.
-    calm_results_ = 0;
   }
 }
 
@@ -541,7 +490,6 @@ SessionReport Session::report() const {
   rep.session_id = id_;
   rep.windows = windows_;
   rep.stable_trace = stable_trace_;
-  rep.rung_trace = rung_trace_;
   rep.layer_trace = layer_trace_;
   if (cfg_.simulcast.enabled) rep.layer_selector = layer_selector_.stats();
   rep.decode_digest = digest_;

@@ -154,13 +154,6 @@ struct SessionStats {
   std::uint64_t packets_lost = 0;       ///< dropped by the channel
   std::uint64_t packets_recovered = 0;  ///< rebuilt by FEC in time
   std::uint64_t nals_lost = 0;          ///< loss events fed to notify_loss
-  // Inference-ladder exposure (windows_int8/hdc/rung_switches all zero
-  // when the ladder is off; windows_fp32 then equals windows_enqueued
-  // for sink-mode sessions).
-  std::uint64_t windows_fp32 = 0;   ///< staged on the reference rung
-  std::uint64_t windows_int8 = 0;   ///< staged on the quantized rung
-  std::uint64_t windows_hdc = 0;    ///< staged on the HDC rung
-  std::uint64_t rung_switches = 0;  ///< ladder moves (either direction)
   // Simulcast exposure (all zero with simulcast off).
   std::uint64_t layer_switches = 0;       ///< completed layer changes
   std::uint64_t layer_wait_pictures = 0;  ///< pictures waiting for the IDR
@@ -187,10 +180,6 @@ struct SessionReport {
   SessionId session_id = 0;
   std::vector<WindowRecord> windows;
   std::vector<std::pair<double, affect::Emotion>> stable_trace;
-  /// (local tick, new rung) for every ladder move — the replay-identity
-  /// fingerprint of the session's rung schedule (empty ladder-off, or
-  /// when record_trace is false).
-  std::vector<std::pair<std::uint64_t, Rung>> rung_trace;
   /// (global picture index, new layer) for every forwarded-layer change
   /// — by the selector contract each index past the first of a
   /// generation lands on an aligned IDR, which the invariant tests pin.
@@ -215,17 +204,8 @@ struct SessionEnv {
   /// Optional pool backing staged feature windows; null falls back to
   /// per-request heap buffers (same bytes, more allocator traffic).
   core::BufferPool* feature_pool = nullptr;
-  /// Inference-ladder policy (null or !enabled = every window fp32 and
-  /// no ladder state advances).  The server points this at its config.
+  /// Unread (serve/ladder.hpp); kept for callers that assign it.
   const LadderConfig* ladder = nullptr;
-  /// Highest rung with a live model behind it (the server caps this by
-  /// what it could actually build); sessions never pick above it.
-  Rung max_rung = Rung::kFp32;
-  /// Trained HDC classifier for the top rung (caller-owned, optional).
-  /// Sessions never call it — the server hands it to its batcher; it
-  /// rides in the env because that is the one context the caller hands
-  /// the server.
-  const affect::HdcClassifier* hdc = nullptr;
 };
 
 class Session {
@@ -247,16 +227,12 @@ class Session {
   /// Stage A for this session alone: ingest_audio(), the row step for
   /// its windows on the calling thread, then finish_windows().  The
   /// server runs the three steps itself, the row step across sessions.
-  /// `ladder_pressure` is the server's global precision-pressure level
-  /// this tick (0 with the ladder off — the default keeps external
-  /// callers unchanged); the session clamps it by its own emotion
-  /// stability to pick this tick's rung before any window is staged.
-  void pump_audio(std::uint64_t tick, int ladder_pressure = 0);
+  void pump_audio(std::uint64_t tick);
 
   /// Stage A, ingest step (parallel across sessions): one tick of audio
   /// through the embedded pipeline — chunk, faults, VAD and window
   /// selection.  A surviving window is recorded, not extracted.
-  void ingest_audio(std::uint64_t tick, int ladder_pressure = 0);
+  void ingest_audio(std::uint64_t tick);
   /// Stage A, row step input: appends the rows this tick's windows still
   /// need (rows shared with the window before are copied at finish).
   /// The jobs stay valid until finish_windows().
@@ -326,9 +302,6 @@ class Session {
   simulcast::SpeakerRole speaker_role() const {
     return static_cast<simulcast::SpeakerRole>(speaker_role_);
   }
-  /// Precision rung new windows are currently staged on (kFp32 forever
-  /// when the ladder is off).
-  Rung rung() const { return rung_; }
   const SessionStats& stats() const { return stats_; }
 
   /// Drains nothing — snapshots the run so far.  Call only between
@@ -338,10 +311,6 @@ class Session {
  private:
   void on_window(double t_end, std::span<const double> window);
   void stage_window(double t_end, const nn::Matrix& features);
-  /// Steps rung_ one rung toward min(server pressure, own eligibility,
-  /// env max_rung), at most once per hysteresis dwell.  No-op with the
-  /// ladder off.
-  void update_rung(int ladder_pressure);
   void record_result(std::uint64_t seq, double t_end,
                      const affect::ClassificationResult& res);
   void fill_chunk(std::vector<double>& chunk);
@@ -398,17 +367,6 @@ class Session {
   fault::FaultCounts fault_counts_;
   std::uint64_t stall_remaining_ = 0;  ///< injected-stall ticks left
 
-  // Inference-ladder state (frozen at kFp32 when env_.ladder is null or
-  // disabled).  conf_ema_ and calm_results_ track the session's emotion
-  // stability from its own result stream; both feed eligibility only,
-  // never the classification output, so maintaining them ladder-off
-  // cannot perturb byte identity.
-  Rung rung_ = Rung::kFp32;
-  float conf_ema_ = 0.0f;          ///< EMA of applied-result confidence
-  std::size_t calm_results_ = 0;   ///< results since last stable switch
-  std::uint64_t last_rung_change_ = 0;  ///< local tick of the last move
-  std::vector<std::pair<std::uint64_t, Rung>> rung_trace_;
-
   // Emotion -> mode state.
   adaptive::AffectVideoPolicy policy_;
   adaptive::DecoderMode policy_mode_ = adaptive::DecoderMode::kStandard;
@@ -446,9 +404,10 @@ class Session {
   };
   std::vector<SentUnit> sent_;
 
-  // Conference inputs (inert outside a room: energy is tracked but
-  // unread, and the role stays kDominant).
+  // Conference inputs (inert outside a room: energy and confidence are
+  // tracked but unread, and the role stays kDominant).
   double last_energy_ = 0.0;
+  float conf_ema_ = 0.0f;  ///< EMA of applied-result confidence
   int speaker_role_ = static_cast<int>(simulcast::SpeakerRole::kDominant);
 
   // Simulcast bookkeeping (all dormant unless cfg.simulcast.enabled).

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -559,161 +558,6 @@ TEST(Quantize, ZeroTensorSurvives) {
   const auto q = nn::quantize_tensor(z, nn::QuantGranularity::kPerTensor);
   const auto back = q.dequantize();
   for (float v : back.flat()) EXPECT_EQ(v, 0.0f);
-}
-
-// ------------------------------------------------- int8 activation path
-
-TEST(QuantizeRows, ZeroRangeRowGetsScaleZeroAndZeroValues) {
-  // Row 1 is all-zero: the defined behaviour is scale 0 / values 0 so
-  // the dequantized round trip is exact (0 * 0 == 0), never a div-by-0.
-  nn::Matrix m(3, 40, 0.0f);
-  for (std::size_t c = 0; c < 40; ++c) {
-    m(0, c) = 0.25f * static_cast<float>(c);
-    m(2, c) = -1.0f;
-  }
-  nn::RowQuantized q;
-  nn::quantize_rows_into(m, q);
-  EXPECT_EQ(q.scales[1], 0.0f);
-  for (std::size_t c = 0; c < 40; ++c) {
-    EXPECT_EQ(q.values[1 * 40 + c], 0) << "col " << c;
-  }
-  // Non-zero rows still have non-zero scales.
-  EXPECT_GT(q.scales[0], 0.0f);
-  EXPECT_GT(q.scales[2], 0.0f);
-}
-
-TEST(QuantizeRows, RowExtremesSaturateAtPlusMinus127) {
-  // The max-|v| element must land exactly on +-127 (symmetric scheme),
-  // and nothing may exceed it — including through the vectorized path,
-  // so use a row long enough to exercise the 32-wide kernel.
-  nn::Matrix m(1, 70);
-  for (std::size_t c = 0; c < 70; ++c) {
-    m(0, c) = 0.01f * static_cast<float>(c) - 0.3f;
-  }
-  m(0, 13) = 5.0f;    // positive extreme
-  m(0, 57) = -5.0f;   // negative extreme, same magnitude
-  nn::RowQuantized q;
-  nn::quantize_rows_into(m, q);
-  EXPECT_EQ(q.values[13], 127);
-  EXPECT_EQ(q.values[57], -127);
-  for (std::size_t c = 0; c < 70; ++c) {
-    EXPECT_GE(static_cast<int>(q.values[c]), -127);
-    EXPECT_LE(static_cast<int>(q.values[c]), 127);
-  }
-  EXPECT_NEAR(q.scales[0], 5.0f / 127.0f, 1e-7f);
-}
-
-TEST(QuantizeRows, VectorAndTailElementsAgree) {
-  // Identical values placed in the 32-wide vector body and in the
-  // scalar tail must quantize identically (same nearest-even rounding);
-  // 37 columns puts cols 32..36 in the tail.
-  nn::Matrix m(1, 37);
-  for (std::size_t c = 0; c < 37; ++c) {
-    m(0, c) = (c % 2 ? -1.0f : 1.0f) * 0.11f * static_cast<float>(c % 5);
-  }
-  m(0, 3) = 2.0f;  // pin the scale
-  m(0, 35) = m(0, 2);
-  m(0, 36) = m(0, 4);
-  nn::RowQuantized q;
-  nn::quantize_rows_into(m, q);
-  EXPECT_EQ(q.values[35], q.values[2]);
-  EXPECT_EQ(q.values[36], q.values[4]);
-}
-
-TEST(Int8Gemm, MatchesReferenceExactlyOnBlockTails) {
-  // Integer accumulation is order-independent, so the optimized kernel
-  // must be memcmp-equal to the reference — including every
-  // non-multiple-of-block tail (row block 4, col block 16, k pairs).
-  const struct {
-    std::size_t m, k, n;
-  } shapes[] = {{1, 1, 1},  {3, 5, 7},   {4, 64, 16},  {5, 63, 17},
-                {7, 2, 33}, {16, 33, 1}, {13, 129, 47}};
-  for (const auto& s : shapes) {
-    std::vector<std::int8_t> a(s.m * s.k), b(s.k * s.n);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      a[i] = static_cast<std::int8_t>(static_cast<int>((i * 37) % 255) - 127);
-    }
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      b[i] = static_cast<std::int8_t>(static_cast<int>((i * 23) % 255) - 127);
-    }
-    std::vector<std::int32_t> opt(s.m * s.n, -1), ref(s.m * s.n, -2);
-    nn::int8_gemm(a.data(), b.data(), opt.data(), s.m, s.k, s.n);
-    nn::int8_gemm_reference(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-    EXPECT_EQ(0, std::memcmp(opt.data(), ref.data(),
-                             opt.size() * sizeof(std::int32_t)))
-        << s.m << "x" << s.k << "x" << s.n;
-  }
-}
-
-TEST(QuantizedMlp, ForwardTracksFp32Model) {
-  std::mt19937 rng(77);
-  nn::ClassifierSpec spec{17, 64, 4};
-  nn::Sequential model = nn::build_mlp(spec, rng);
-  auto q = nn::QuantizedMlp::from(model);
-  ASSERT_TRUE(q.has_value());
-  ASSERT_EQ(q->input_features(), 17 * 64);
-
-  // A batch of flattened windows for the int8 path; the fp32 model sees
-  // each window unflattened (T x C), one sample per forward.
-  constexpr std::size_t kBatch = 6;
-  nn::Matrix x(kBatch, 17 * 64);
-  nn::QuantWorkspace ws;
-  float scale = 0.0f;
-  std::vector<nn::Matrix> want;
-  for (std::size_t s = 0; s < kBatch; ++s) {
-    const nn::Matrix sample = random_matrix(64, 17, 78 + unsigned(s));
-    for (std::size_t i = 0; i < sample.size(); ++i) {
-      x(s, i) = sample.flat()[i];
-    }
-    want.push_back(model.forward(sample));
-    for (float v : want.back().flat()) scale = std::max(scale, std::abs(v));
-  }
-  const nn::Matrix& got = q->forward(x, ws);
-  ASSERT_EQ(got.rows(), kBatch);
-  ASSERT_EQ(got.cols(), want.front().cols());
-  for (std::size_t s = 0; s < kBatch; ++s) {
-    for (std::size_t c = 0; c < got.cols(); ++c) {
-      EXPECT_NEAR(got(s, c), want[s].flat()[c], 0.05f * scale)
-          << "sample " << s << " logit " << c;
-    }
-  }
-}
-
-TEST(QuantizedMlp, BatchedAndSingleRowForwardsAgreeExactly) {
-  // Per-row activation scales make each batch row independent — the
-  // batcher's homogeneity contract for the int8 rung.
-  std::mt19937 rng(79);
-  nn::ClassifierSpec spec{17, 64, 4};
-  nn::Sequential model = nn::build_mlp(spec, rng);
-  auto q = nn::QuantizedMlp::from(model);
-  ASSERT_TRUE(q.has_value());
-
-  const nn::Matrix x = random_matrix(5, 17 * 64, 80);
-  nn::QuantWorkspace ws;
-  nn::Matrix batched = q->forward(x, ws);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    nn::Matrix one(1, x.cols());
-    for (std::size_t c = 0; c < x.cols(); ++c) one(0, c) = x(r, c);
-    nn::QuantWorkspace ws1;
-    const nn::Matrix& single = q->forward(one, ws1);
-    for (std::size_t c = 0; c < batched.cols(); ++c) {
-      EXPECT_EQ(single(0, c), batched(r, c)) << "row " << r << " col " << c;
-    }
-  }
-}
-
-TEST(TruncateMantissa, ZeroBitsIsByteIdentityAndTruncationIsIdempotent) {
-  std::vector<float> v = {1.5f, -0.001f, 3.14159f, 1e30f, -1e-30f, 0.0f};
-  std::vector<float> orig = v;
-  nn::truncate_mantissa(v, 0);
-  EXPECT_EQ(0, std::memcmp(v.data(), orig.data(), v.size() * sizeof(float)));
-  nn::truncate_mantissa(v, 8);
-  std::vector<float> once = v;
-  nn::truncate_mantissa(v, 8);
-  EXPECT_EQ(0, std::memcmp(v.data(), once.data(), v.size() * sizeof(float)));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_LE(std::abs(v[i] - orig[i]), std::abs(orig[i]) * 0.01f) << i;
-  }
 }
 
 // ------------------------------------------------------------ serialization

@@ -323,7 +323,7 @@ TEST(Shedding, OverloadEngagesEveryRungOfTheLadder) {
   EXPECT_EQ(out.server.results_routed, applied);
 }
 
-// Rung 1 of the ladder in isolation: forcing the degrade level to 1
+// Level 1 of the degrade ladder in isolation: forcing the level to 1
 // turns NAL deletion on even for a session whose affect policy chose a
 // quality mode, shrinking decode work without dropping whole frames.
 TEST(Shedding, ForcedDeletionLevelDeletesNals) {
@@ -589,8 +589,8 @@ TEST(Batcher, BatchedResultsAreBitIdenticalToPerWindowForwards) {
   auto run = [&](bool batched) {
     serve::BatcherConfig cfg;
     cfg.max_batch = 8;
-    cfg.batched = batched;
     serve::InferenceBatcher batcher(w.classifier, cfg);
+    batcher.force_fallback(!batched);
     for (std::size_t i = 0; i < features.size(); ++i) {
       serve::InferenceRequest req;
       req.session = i + 1;
