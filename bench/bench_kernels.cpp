@@ -8,8 +8,8 @@
 // deblocking on and off (their difference is the filter's cost per
 // picture), after checking its digests against the golden test's.
 // Dumps BENCH_kernels.json; tools/run_verify.sh `kernels` mode
-// regresses windows_per_sec and the deblocker's ns_per_frame against
-// the committed copy.
+// soft-checks the feature and deblocker speedups against the committed
+// copy.
 //
 // Everything runs with the pool disabled (set_global_threads(0)): these
 // are the kernels the single-core edge target actually executes, and
@@ -73,6 +73,22 @@ struct Pair {
   double speedup() const { return ref > 0.0 ? opt / ref : 0.0; }
 };
 
+/// min_seconds for an optimized kernel and its reference with their
+/// rounds interleaved (opt, ref, opt, ref, ...), so load that comes and
+/// goes on a shared host reaches both sides of the speedup that
+/// `run_verify.sh kernels` checks.  Returns the fastest round of each
+/// as {opt, ref}.
+template <typename Opt, typename Ref>
+Pair min_seconds_pair(Opt&& opt, Ref&& ref, int rounds = 3) {
+  Pair best{std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity()};
+  for (int r = 0; r < rounds; ++r) {
+    best.opt = std::min(best.opt, min_seconds(opt, 1));
+    best.ref = std::min(best.ref, min_seconds(ref, 1));
+  }
+  return best;
+}
+
 // --- Feature pipeline: windows/sec ----------------------------------------
 
 Pair bench_features(bool& ok) {
@@ -107,18 +123,22 @@ Pair bench_features(bool& ok) {
   Pair p;
   affect::FeatureWorkspace ws;
   float sink = 0.0f;
-  p.opt = kReps / min_seconds([&] {
-    for (int i = 0; i < kReps; ++i) {
-      const nn::Matrix& m = fx.extract_into(windows[i % windows.size()], ws);
-      sink += m(0, 0);
-    }
-  });
-  p.ref = kReps / min_seconds([&] {
-    for (int i = 0; i < kReps; ++i) {
-      const nn::Matrix m = fx.extract_ref(windows[i % windows.size()]);
-      sink += m(0, 0);
-    }
-  });
+  const Pair s = min_seconds_pair(
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          const nn::Matrix& m =
+              fx.extract_into(windows[i % windows.size()], ws);
+          sink += m(0, 0);
+        }
+      },
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          const nn::Matrix m = fx.extract_ref(windows[i % windows.size()]);
+          sink += m(0, 0);
+        }
+      });
+  p.opt = kReps / s.opt;
+  p.ref = kReps / s.ref;
   if (sink == 123.25f) std::printf("(unlikely)\n");
   return p;
 }
@@ -170,25 +190,22 @@ DeblockTiming bench_deblock(bool& ok) {
   // is timed on both sides.
   constexpr int kReps = 16;
   h264::YuvFrame frame = base;
-  t.ns.opt = min_seconds(
-                 [&] {
-                   for (int i = 0; i < kReps; ++i) {
-                     frame = base;
-                     h264::deblock_frame(frame, mb_info, t.qp);
-                   }
-                 },
-                 7) *
-             1e9 / kReps;
-  t.ns.ref = min_seconds(
-                 [&] {
-                   for (int i = 0; i < kReps; ++i) {
-                     frame = base;
-                     h264::oracle::deblock_frame_reference(frame, mb_info,
-                                                           t.qp);
-                   }
-                 },
-                 7) *
-             1e9 / kReps;
+  const Pair s = min_seconds_pair(
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          frame = base;
+          h264::deblock_frame(frame, mb_info, t.qp);
+        }
+      },
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          frame = base;
+          h264::oracle::deblock_frame_reference(frame, mb_info, t.qp);
+        }
+      },
+      7);
+  t.ns.opt = s.opt * 1e9 / kReps;
+  t.ns.ref = s.ref * 1e9 / kReps;
   return t;
 }
 
@@ -210,18 +227,21 @@ Pair bench_gemm() {
   const double flops = 2.0 * static_cast<double>(kN) * kN * kN * kReps;
   Pair p;
   float sink = 0.0f;
-  p.opt = flops / min_seconds([&] {
-    for (int i = 0; i < kReps; ++i) {
-      const nn::Matrix c = a.matmul(b);
-      sink += c(0, 0);
-    }
-  }) / 1e9;
-  p.ref = flops / min_seconds([&] {
-    for (int i = 0; i < kReps; ++i) {
-      const nn::Matrix c = a.matmul_reference(b);
-      sink += c(0, 0);
-    }
-  }) / 1e9;
+  const Pair s = min_seconds_pair(
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          const nn::Matrix c = a.matmul(b);
+          sink += c(0, 0);
+        }
+      },
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          const nn::Matrix c = a.matmul_reference(b);
+          sink += c(0, 0);
+        }
+      });
+  p.opt = flops / s.opt / 1e9;
+  p.ref = flops / s.ref / 1e9;
   if (sink == 123.25f) std::printf("(unlikely)\n");
   return p;
 }
@@ -241,18 +261,21 @@ Pair bench_rfft() {
   constexpr int kReps = 10000;
   Pair p;  // us per call; speedup computed as ref/opt below
   double sink = 0.0;
-  p.opt = min_seconds([&] {
-    for (int i = 0; i < kReps; ++i) {
-      signal::power_spectrum(x, kFft, out, work);
-      sink += out[1];
-    }
-  }) * 1e6 / kReps;
-  p.ref = min_seconds([&] {
-    for (int i = 0; i < kReps; ++i) {
-      const std::vector<double> ref = signal::power_spectrum_ref(x, kFft);
-      sink += ref[1];
-    }
-  }) * 1e6 / kReps;
+  const Pair s = min_seconds_pair(
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          signal::power_spectrum(x, kFft, out, work);
+          sink += out[1];
+        }
+      },
+      [&] {
+        for (int i = 0; i < kReps; ++i) {
+          const std::vector<double> ref = signal::power_spectrum_ref(x, kFft);
+          sink += ref[1];
+        }
+      });
+  p.opt = s.opt * 1e6 / kReps;
+  p.ref = s.ref * 1e6 / kReps;
   if (sink == 123.25) std::printf("(unlikely)\n");
   return p;
 }

@@ -22,13 +22,6 @@ std::uint64_t draw(std::uint64_t& s, std::uint64_t n) {
   return n == 0 ? 0 : splitmix64(s) % n;
 }
 
-void fnv_plane(std::uint64_t& h, const h264::Plane& p) {
-  for (std::uint8_t b : p.data) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-}
-
 }  // namespace
 
 simulcast::SwitchPolicy random_switch_policy(std::uint64_t seed,
@@ -105,9 +98,7 @@ PolicyFuzzResult run_policy_fuzz(const simulcast::SimulcastClip& clip,
 
   const auto decode_one = [&](const h264::NalUnit& u) {
     if (auto pic = dec.decode_nal(u)) {
-      fnv_plane(res.decode_digest, pic->frame.y);
-      fnv_plane(res.decode_digest, pic->frame.cb);
-      fnv_plane(res.decode_digest, pic->frame.cr);
+      res.decode_digest = h264::frame_digest(res.decode_digest, pic->frame);
       dec.recycle(std::move(pic->frame));
       ++res.frames_decoded;
     }

@@ -45,7 +45,8 @@ struct PolicyFuzzResult {
   /// (picture index, forwarded layer) on every change; entry 0 is the
   /// initial top-layer lock.
   std::vector<std::pair<std::uint64_t, std::uint8_t>> layer_trace;
-  std::uint64_t decode_digest = 1469598103934665603ull;  ///< FNV-1a
+  /// h264::frame_digest chained over every decoded picture in order.
+  std::uint64_t decode_digest = 1469598103934665603ull;
   std::uint64_t pictures_walked = 0;
   std::uint64_t frames_decoded = 0;
   std::uint64_t switches_completed = 0;

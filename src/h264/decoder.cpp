@@ -1,6 +1,7 @@
 #include "h264/decoder.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "h264/bitstream.hpp"
@@ -36,9 +37,14 @@ void check_mv(const MotionVector& mv) {
   }
 }
 
+/// Writes a row-major size x size block into `p` at (x0, y0), one row
+/// copy at a time: a per-pixel `Plane::at` store may alias the plane's
+/// data pointer, which then reloads for every pixel.
 void store_block(Plane& p, int x0, int y0, int size, const std::uint8_t* in) {
-  for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) p.at(x0 + x, y0 + y) = in[y * size + x];
+  std::uint8_t* dst =
+      p.data.data() + static_cast<std::size_t>(y0) * p.width + x0;
+  for (int y = 0; y < size; ++y, dst += p.width, in += size) {
+    std::memcpy(dst, in, static_cast<std::size_t>(size));
   }
 }
 

@@ -63,4 +63,12 @@ inline std::uint8_t clamp_pixel(int v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
 }
 
+/// Chains every pixel of `f` (y, cb, cr in that order) into `h`, so two
+/// chains match only when every byte matched in sequence.  Each plane
+/// feeds four interleaved 64-bit lanes, one bijective step per 8-byte
+/// word, folds them into `h` at its end, then takes its last size % 32
+/// bytes one at a time: a change confined to one word or one tail byte
+/// always changes the result.
+std::uint64_t frame_digest(std::uint64_t h, const YuvFrame& f);
+
 }  // namespace affectsys::h264

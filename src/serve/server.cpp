@@ -413,11 +413,14 @@ void SessionManager::tick() {
     update_degrade_level();
   }
 
-  {  // Stage C: media in parallel under the shared degrade level.
+  {  // Stage C: media in parallel under the shared degrade level.  Each
+     // session's share is timed here, not in Session, so standalone
+     // sessions record nothing.
     AFFECTSYS_TIME_SCOPE("serve.stage_media_ns");
     const int level = degrade_level_;
     core::parallel_for(0, order_.size(), 1, [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
+        AFFECTSYS_TIME_SCOPE("serve.session_media_ns");
         order_[i]->tick_media(now_tick_, level);
       }
     });

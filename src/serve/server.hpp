@@ -25,7 +25,8 @@
 //   C. tick_media over every due session (parallel_for) under the
 //      current degrade level.
 // Each stage times itself into the registry (serve.stage_*_ns), and the
-// stage timers add up to serve.tick_ns.
+// stage timers add up to serve.tick_ns; stage C also times each
+// session's tick_media (serve.session_media_ns).
 //
 // Scheduling: a hierarchical timer wheel (core/timer_wheel) holds one
 // wake-up entry per session, and a tick only touches the sessions the

@@ -6,19 +6,6 @@
 
 namespace affectsys::serve {
 
-namespace {
-
-/// FNV-1a over a byte plane; order-sensitive, so two digests match only
-/// when every decoded pixel matched in sequence.
-void fnv_plane(std::uint64_t& h, const h264::Plane& p) {
-  for (std::uint8_t b : p.data) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-}
-
-}  // namespace
-
 Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
                  bool inline_inference, std::uint64_t start_tick)
     : id_(id),
@@ -431,9 +418,7 @@ void Session::receive_unit(bool loss, std::uint8_t layer,
 void Session::decode_unit(const h264::NalUnit& unit) {
   const std::uint64_t errs_before = decoder_.activity().nal_errors;
   if (auto pic = decoder_.decode_nal(unit)) {
-    fnv_plane(digest_, pic->frame.y);
-    fnv_plane(digest_, pic->frame.cb);
-    fnv_plane(digest_, pic->frame.cr);
+    digest_ = h264::frame_digest(digest_, pic->frame);
     decoder_.recycle(std::move(pic->frame));
     ++stats_.frames_decoded;
     return;

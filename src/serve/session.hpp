@@ -187,7 +187,8 @@ struct SessionReport {
   std::vector<std::pair<std::uint64_t, std::uint8_t>> layer_trace;
   /// Selector roll-up (all zero with simulcast off).
   simulcast::LayerSelectorStats layer_selector;
-  std::uint64_t decode_digest = 1469598103934665603ull;  ///< FNV-1a basis
+  /// h264::frame_digest chained over every decoded picture in order.
+  std::uint64_t decode_digest = 1469598103934665603ull;
   SessionStats stats;
   affect::RealtimeStats realtime;
   android::LoadingMetrics apps;

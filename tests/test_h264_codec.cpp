@@ -804,3 +804,90 @@ TEST(Decoder, ResidualBlockCounterMatchesActivity) {
   EXPECT_EQ(counter.value() - before, dec.activity().residual_blocks);
 }
 #endif
+
+// ------------------------------------------------------------- frame digest
+
+namespace {
+
+/// Planes of the given sizes filled with seeded random bytes, so Cb and
+/// Cr differ and a swap of the two is a change.
+h264::YuvFrame random_frame(int yw, int yh, int cw, int ch,
+                            std::uint32_t seed) {
+  h264::YuvFrame f;
+  f.y = h264::Plane(yw, yh);
+  f.cb = h264::Plane(cw, ch);
+  f.cr = h264::Plane(cw, ch);
+  std::mt19937 rng(seed);
+  for (h264::Plane* p : {&f.y, &f.cb, &f.cr}) {
+    for (std::uint8_t& b : p->data) b = static_cast<std::uint8_t>(rng());
+  }
+  return f;
+}
+
+/// Digest edits that left frame_digest unchanged, per kind of edit.
+struct DigestMisses {
+  int bit_flips = 0;
+  int pair_flips_8 = 0;
+  int pair_flips_32 = 0;
+  int adjacent_swaps = 0;
+};
+
+/// Applies every edit of each kind to `f` in place (undoing it after)
+/// and counts the edits whose digest equals the unedited one.
+DigestMisses digest_misses(h264::YuvFrame& f) {
+  const std::uint64_t base = h264::frame_digest(0, f);
+  const auto unchanged = [&] { return h264::frame_digest(0, f) == base; };
+  DigestMisses m;
+  for (h264::Plane* p : {&f.y, &f.cb, &f.cr}) {
+    std::vector<std::uint8_t>& d = p->data;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        const auto mask = static_cast<std::uint8_t>(1u << bit);
+        d[i] ^= mask;
+        m.bit_flips += unchanged();
+        for (const std::size_t gap : {std::size_t{8}, std::size_t{32}}) {
+          if (i + gap >= d.size()) continue;
+          d[i + gap] ^= mask;
+          (gap == 8 ? m.pair_flips_8 : m.pair_flips_32) += unchanged();
+          d[i + gap] ^= mask;
+        }
+        d[i] ^= mask;
+      }
+      if (i + 1 < d.size() && d[i] != d[i + 1]) {
+        std::swap(d[i], d[i + 1]);
+        m.adjacent_swaps += unchanged();
+        std::swap(d[i], d[i + 1]);
+      }
+    }
+  }
+  return m;
+}
+
+}  // namespace
+
+// A digest must detect changes, not only repeat.  Every single-bit flip,
+// every pair of same-bit flips 8 bytes apart (neighbouring words, so two
+// lanes) and 32 bytes apart (consecutive words of one lane), every swap
+// of two unequal adjacent bytes and a Cb/Cr swap must change it, on a
+// 64x64 frame and on a frame whose planes are not multiples of 32 bytes
+// (315 and 69 bytes, so the byte-wise tail is reached too).  Byte-serial
+// FNV-1a passes all of these.  Plain word-wise FNV-1a (h = (h ^ w) * P
+// per 8-byte word) fails the same-bit pairs: flipping an operand's top
+// bit flips only the product's top bit, so the second flip cancels the
+// first.
+TEST(FrameDigest, DetectsEveryFlipPairAndSwap) {
+  h264::YuvFrame square = random_frame(64, 64, 32, 32, 1);
+  h264::YuvFrame ragged = random_frame(45, 7, 23, 3, 2);
+  for (h264::YuvFrame* f : {&square, &ragged}) {
+    const DigestMisses m = digest_misses(*f);
+    EXPECT_EQ(m.bit_flips, 0) << f->width() << "x" << f->height();
+    EXPECT_EQ(m.pair_flips_8, 0) << f->width() << "x" << f->height();
+    EXPECT_EQ(m.pair_flips_32, 0) << f->width() << "x" << f->height();
+    EXPECT_EQ(m.adjacent_swaps, 0) << f->width() << "x" << f->height();
+
+    const std::uint64_t base = h264::frame_digest(0, *f);
+    EXPECT_EQ(h264::frame_digest(0, *f), base);
+    std::swap(f->cb, f->cr);
+    EXPECT_NE(h264::frame_digest(0, *f), base);
+  }
+}

@@ -12,6 +12,7 @@
 #include "android/catalog.hpp"
 #include "android/personality.hpp"
 #include "core/affect_table.hpp"
+#include "core/thread_pool.hpp"
 #include "fault/plan.hpp"
 #include "nn/model.hpp"
 #include "obs/metrics.hpp"
@@ -156,7 +157,9 @@ TEST(SessionLifecycle, RegistryStaysBoundedUnderSessionChurn) {
 // The registry alone says where a tick's time went: the stage timers
 // (due list, the three audio steps, rooms, inference, media and the
 // wheel re-arm) add up to serve.tick_ns within 5% on a multi-session
-// run.
+// run.  Stage C's per-session timer holds one observation per session
+// run; it wraps every decode, and no pool thread can spend longer in
+// it than the stage lasts.
 TEST(SessionLifecycle, StageTimersCoverTheTick) {
 #if !(defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS)
   GTEST_SKIP() << "metrics compiled out";
@@ -172,9 +175,15 @@ TEST(SessionLifecycle, StageTimersCoverTheTick) {
     for (const char* name : stages) s += reg.histogram(name).sum();
     return s;
   };
+  const affectsys::obs::Histogram& session_media =
+      reg.histogram("serve.session_media_ns");
   const double tick0 = reg.histogram("serve.tick_ns").sum();
   const double stages0 = stage_sum();
   const std::uint64_t rows0 = reg.histogram("serve.stage_rows_ns").count();
+  const double media0 = reg.histogram("serve.stage_media_ns").sum();
+  const double decode0 = reg.histogram("h264.decode_ns").sum();
+  const double session0 = session_media.sum();
+  const std::uint64_t session_runs0 = session_media.count();
 
   serve::SessionManager server(serve::ServerConfig{}, world().env());
   for (int i = 0; i < 8; ++i) server.create_session();
@@ -189,6 +198,16 @@ TEST(SessionLifecycle, StageTimersCoverTheTick) {
   EXPECT_LE(covered, tick);
   EXPECT_GE(covered, 0.95 * tick)
       << "stages cover " << 100.0 * covered / tick << "% of the tick";
+
+  const double media = reg.histogram("serve.stage_media_ns").sum() - media0;
+  const double decode = reg.histogram("h264.decode_ns").sum() - decode0;
+  const double sessions = session_media.sum() - session0;
+  EXPECT_EQ(session_media.count() - session_runs0,
+            server.stats().session_runs);
+  EXPECT_GT(decode, 0.0);
+  EXPECT_GE(sessions, decode);
+  EXPECT_LE(sessions,
+            static_cast<double>(core::global_threads() + 1) * media);
 #endif
 }
 

@@ -77,12 +77,14 @@ pass_tsan()      { run_pass build-tsan tsan 'tsan|kernels' -DAFFECTSYS_SANITIZE=
 # artifacts), the optimized-vs-reference proof suite (label "kernels"),
 # then bench_kernels regenerating BENCH_kernels.json.  If a committed
 # BENCH_kernels.json exists, two numbers are soft-checked against it:
-# the feature pipeline's windows_per_sec must not fall more than 10%
-# below the committed one, and the deblocker's ns_per_frame must not
-# rise more than 10% above it.  bench_kernels itself exits nonzero,
-# without writing the file, on a byte mismatch against a kernel's
-# reference or the golden decode digests; the pass then fails with the
-# first failure.
+# the feature pipeline's and the deblocker's speedup must not fall more
+# than 10% below the committed one.  Each speedup times a kernel against
+# its reference in the same run, so it holds when other load on the host
+# slows both alike; absolute windows_per_sec and ns_per_frame move
+# 20-30% with that load and are only printed.  bench_kernels itself
+# exits nonzero, without writing the file, on a byte mismatch against a
+# kernel's reference or the golden decode digests; the pass then fails
+# with the first failure.
 pass_kernels() {
   run_pass build-release kernels kernels -DCMAKE_BUILD_TYPE=Release
   echo "=== [kernels] bench_kernels ==="
@@ -98,26 +100,27 @@ pass_kernels() {
     echo "no committed BENCH_kernels.json; skipping soft-checks"
   elif [[ ! -f "$fresh" ]]; then
     echo "bench_kernels wrote no $fresh; skipping soft-checks"
-  else
-    # obs::JsonWriter emits one key per line; the leading quote keeps
-    # "windows_per_sec" from matching the ref_windows_per_sec line (and
-    # "ns_per_frame" the ref_ns_per_frame one).
-    local check key better committed_v fresh_v
-    for check in windows_per_sec:higher ns_per_frame:lower; do
-      key=${check%%:*}
-      better=${check##*:}
-      committed_v=$(grep -o "\"$key\": [0-9.eE+-]*" BENCH_kernels.json | head -1 | awk '{print $2}')
-      fresh_v=$(grep -o "\"$key\": [0-9.eE+-]*" "$fresh" | head -1 | awk '{print $2}')
-      echo "$key: committed=${committed_v:-none} fresh=${fresh_v:-none}"
-      if [[ -z "$committed_v" || -z "$fresh_v" ]]; then
-        echo "FAIL: $key missing from BENCH_kernels.json" >&2
-        first_fail=${first_fail:-"$key missing"}
-      elif ! awk -v f="$fresh_v" -v c="$committed_v" -v b="$better" \
-             'BEGIN { exit !(b == "higher" ? f >= 0.9 * c : f <= 1.1 * c) }'; then
-        echo "FAIL: $key regressed >10% vs committed BENCH_kernels.json" >&2
-        first_fail=${first_fail:-"$key regressed >10%"}
-      fi
-    done
+  elif ! python3 - BENCH_kernels.json "$fresh" <<'PY'
+import json, sys
+committed, fresh = (json.load(open(p)) for p in sys.argv[1:])
+ok = True
+for kernel, rate in (("feature", "windows_per_sec"), ("deblock", "ns_per_frame")):
+    c = committed.get(kernel, {}).get("speedup")
+    f = fresh.get(kernel, {}).get("speedup")
+    print(f"{kernel}.speedup: committed={c} fresh={f} "
+          f"({rate} committed={committed.get(kernel, {}).get(rate)} "
+          f"fresh={fresh.get(kernel, {}).get(rate)})")
+    if c is None or f is None:
+        print(f"FAIL: {kernel}.speedup missing", file=sys.stderr)
+        ok = False
+    elif f < 0.9 * c:
+        print(f"FAIL: {kernel}.speedup fell >10% below committed "
+              "BENCH_kernels.json", file=sys.stderr)
+        ok = False
+sys.exit(0 if ok else 1)
+PY
+  then
+    first_fail=${first_fail:-"a kernel speedup fell >10%"}
   fi
   if [[ -n "$first_fail" ]]; then
     echo "kernels pass failed: $first_fail" >&2
