@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -14,17 +15,15 @@ namespace affectsys::affect {
 namespace {
 
 /// One thread's frame scratch for the row step: the frame copy, the MFCC
-/// workspace, the pitch autocorrelation buffers and the magnitude-
-/// spectrum staging.  Every session's rows share it, instead of each
-/// session holding its own 50 KB copy.
+/// workspace and the pitch autocorrelation buffers, whose transform also
+/// yields the magnitude column.  Every session's rows share it, instead
+/// of each session holding its own copy.
 struct FrameScratch {
   std::vector<double> frame;                    ///< frame_len samples
   signal::MfccWorkspace mfcc;
   std::vector<double> mfcc_out;                 ///< num_coeffs values
   std::vector<double> acorr;                    ///< frame_len lags (pitch)
   std::vector<std::complex<double>> acorr_work; ///< next_pow2(2*frame_len)+1
-  std::vector<double> mag;                      ///< fft bins (magnitude)
-  std::vector<std::complex<double>> mag_work;   ///< fft_size + 1
 };
 
 /// This thread's scratch, sized for `mc` (no-ops once the thread has
@@ -35,15 +34,21 @@ FrameScratch& frame_scratch(const signal::MfccConfig& mc) {
   s.mfcc_out.resize(std::min(mc.num_coeffs, mc.num_filters));
   s.acorr.resize(mc.frame_len);
   s.acorr_work.resize(signal::next_pow2(2 * mc.frame_len) + 1);
-  s.mag.resize(mc.fft_size / 2 + 1);
-  s.mag_work.resize(mc.fft_size + 1);
   return s;
 }
 
 }  // namespace
 
 FeatureExtractor::FeatureExtractor(const FeatureConfig& cfg)
-    : cfg_(cfg), mfcc_(cfg.mfcc) {}
+    : cfg_(cfg), mfcc_(cfg.mfcc) {
+  // The magnitude column is read off the pitch transform's bins, which
+  // hold the fft_size-point spectrum only if fft_size divides its size
+  // (mfcc_ has already required fft_size >= frame_len).
+  if (signal::next_pow2(2 * cfg.mfcc.frame_len) % cfg.mfcc.fft_size != 0) {
+    throw std::invalid_argument(
+        "FeatureExtractor: fft_size must divide next_pow2(2 * frame_len)");
+  }
+}
 
 nn::Matrix FeatureExtractor::extract(std::span<const double> samples) const {
   FeatureWorkspace ws;
@@ -95,13 +100,12 @@ void FeatureExtractor::compute_rows(std::span<const double> samples,
     }
     row[c++] = static_cast<float>(signal::zero_crossing_rate(frame));
     row[c++] = static_cast<float>(signal::rms(frame));
-    const auto pitch = signal::estimate_pitch(frame, mc.sample_rate, 60.0,
-                                              400.0, 0.3, s.acorr,
-                                              s.acorr_work);
+    const signal::PitchMagnitude pm = signal::pitch_and_magnitude(
+        frame, mc.sample_rate, 60.0, 400.0, 0.3, mc.fft_size, s.acorr,
+        s.acorr_work);
     // Unvoiced frames carry pitch 0; voiced pitch is scaled to O(1).
-    row[c++] = static_cast<float>(pitch.value_or(0.0) / 400.0);
-    row[c++] = static_cast<float>(
-        signal::mean_magnitude(frame, mc.fft_size, s.mag, s.mag_work));
+    row[c++] = static_cast<float>(pm.pitch.value_or(0.0) / 400.0);
+    row[c++] = static_cast<float>(pm.magnitude);
     // Columns past the MFCCs the filterbank can supply stay zero.
     std::fill(row.begin() + static_cast<std::ptrdiff_t>(c), row.end(), 0.0f);
   }

@@ -37,6 +37,9 @@ struct FeatureWorkspace {
 
 class FeatureExtractor {
  public:
+  /// @throws std::invalid_argument if cfg.mfcc.fft_size does not divide
+  ///         next_pow2(2 * cfg.mfcc.frame_len): the magnitude column is
+  ///         read off the pitch autocorrelation's transform of that size
   explicit FeatureExtractor(const FeatureConfig& cfg);
 
   /// Features per timestep: num_coeffs MFCCs + {zcr, rms, pitch, magnitude}.

@@ -34,6 +34,12 @@ std::vector<double> rms_contour(std::span<const double> x,
 
 namespace {
 
+/// Whether a frame of n samples has a pitch to search for in
+/// [fmin, fmax]; every pitch path answers std::nullopt otherwise.
+bool pitch_searchable(std::size_t n, double fmin, double fmax) {
+  return n >= 16 && fmin > 0.0 && fmax > fmin;
+}
+
 /// Peak search + parabolic interpolation shared by the optimized and
 /// reference pitch paths (identical on identical autocorrelations).
 std::optional<double> pitch_from_autocorrelation(std::span<const double> r,
@@ -66,33 +72,52 @@ std::optional<double> pitch_from_autocorrelation(std::span<const double> r,
 std::optional<double> estimate_pitch(std::span<const double> x,
                                      double sample_rate, double fmin,
                                      double fmax, double voicing_threshold) {
-  if (x.size() < 16 || fmin <= 0.0 || fmax <= fmin) return std::nullopt;
-  std::vector<double> r(x.size());
-  std::vector<std::complex<double>> work(next_pow2(2 * x.size()) + 1);
-  return estimate_pitch(x, sample_rate, fmin, fmax, voicing_threshold, r,
-                        work);
+  if (!pitch_searchable(x.size(), fmin, fmax)) return std::nullopt;
+  const std::vector<double> r = autocorrelation(x);
+  return pitch_from_autocorrelation(r, sample_rate, fmin, fmax,
+                                    voicing_threshold);
 }
 
-std::optional<double> estimate_pitch(std::span<const double> x,
-                                     double sample_rate, double fmin,
-                                     double fmax, double voicing_threshold,
-                                     std::span<double> r_buf,
-                                     std::span<std::complex<double>> work) {
-  if (x.size() < 16 || fmin <= 0.0 || fmax <= fmin) return std::nullopt;
+PitchMagnitude pitch_and_magnitude(std::span<const double> x,
+                                   double sample_rate, double fmin,
+                                   double fmax, double voicing_threshold,
+                                   std::size_t fft_size,
+                                   std::span<double> r_buf,
+                                   std::span<std::complex<double>> work) {
+  const std::size_t n = next_pow2(2 * x.size());
+  if (x.empty() || fft_size < x.size() || n % fft_size != 0) {
+    throw std::invalid_argument(
+        "pitch_and_magnitude: fft_size must divide next_pow2(2 * x.size()) "
+        "and be >= x.size()");
+  }
   if (r_buf.size() < x.size()) {
-    throw std::invalid_argument("estimate_pitch: r buffer too small");
+    throw std::invalid_argument("pitch_and_magnitude: r buffer too small");
   }
   const std::span<double> r = r_buf.first(x.size());
   autocorrelation(x, r, work);
-  return pitch_from_autocorrelation(r, sample_rate, fmin, fmax,
-                                    voicing_threshold);
+  // work[0 .. n/2] now holds |X[k]|^2 of the n-point transform, and the
+  // fft_size-point spectrum is every (n / fft_size)-th bin of it: the
+  // same sqrt-then-sum as magnitude_spectrum() and a mean over its bins.
+  const std::size_t stride = n / fft_size;
+  const std::size_t nbins = fft_size / 2 + 1;
+  double acc = 0.0;
+  for (std::size_t k = 0; k < nbins; ++k) {
+    acc += std::sqrt(work[k * stride].real());
+  }
+  PitchMagnitude out;
+  out.magnitude = acc / static_cast<double>(nbins);
+  if (pitch_searchable(x.size(), fmin, fmax)) {
+    out.pitch = pitch_from_autocorrelation(r, sample_rate, fmin, fmax,
+                                           voicing_threshold);
+  }
+  return out;
 }
 
 std::optional<double> estimate_pitch_ref(std::span<const double> x,
                                          double sample_rate, double fmin,
                                          double fmax,
                                          double voicing_threshold) {
-  if (x.size() < 16 || fmin <= 0.0 || fmax <= fmin) return std::nullopt;
+  if (!pitch_searchable(x.size(), fmin, fmax)) return std::nullopt;
   const std::vector<double> r = autocorrelation_ref(x);
   return pitch_from_autocorrelation(r, sample_rate, fmin, fmax,
                                     voicing_threshold);
@@ -107,22 +132,6 @@ double spectral_centroid(std::span<const double> magnitude,
     den += magnitude[k];
   }
   return den > 1e-12 ? num / den : 0.0;
-}
-
-double mean_magnitude(std::span<const double> x, std::size_t fft_size) {
-  std::vector<double> mag(fft_size / 2 + 1);
-  std::vector<std::complex<double>> work(fft_size + 1);
-  return mean_magnitude(x, fft_size, mag, work);
-}
-
-double mean_magnitude(std::span<const double> x, std::size_t fft_size,
-                      std::span<double> mag,
-                      std::span<std::complex<double>> work) {
-  const std::size_t nbins = fft_size / 2 + 1;
-  magnitude_spectrum(x, fft_size, mag, work);
-  double acc = 0.0;
-  for (std::size_t k = 0; k < nbins; ++k) acc += mag[k];
-  return acc / static_cast<double>(nbins);
 }
 
 double spectral_rolloff(std::span<const double> magnitude, double sample_rate,

@@ -31,14 +31,28 @@ std::optional<double> estimate_pitch(std::span<const double> x,
                                      double fmax = 500.0,
                                      double voicing_threshold = 0.3);
 
-/// Allocation-free estimate_pitch: `r` must hold x.size() doubles and
-/// `work` next_pow2(2 * x.size()) + 1 complex elements (the
-/// autocorrelation buffers).  Bit-identical to the allocating overload.
-std::optional<double> estimate_pitch(std::span<const double> x,
-                                     double sample_rate, double fmin,
-                                     double fmax, double voicing_threshold,
-                                     std::span<double> r,
-                                     std::span<std::complex<double>> work);
+/// A frame's pitch and its mean spectral magnitude (the paper's
+/// "magnitude" feature).
+struct PitchMagnitude {
+  std::optional<double> pitch;  ///< estimate_pitch()'s value
+  /// Mean of magnitude_spectrum(x, fft_size), bit for bit.
+  double magnitude = 0.0;
+};
+
+/// Allocation-free estimate_pitch that also reads the mean magnitude of
+/// x zero-padded to `fft_size` points off the pitch autocorrelation's
+/// forward transform, so one frame costs one forward transform, not two.
+/// That transform has n = next_pow2(2 * x.size()) points; the
+/// fft_size-point spectrum is its bins k * n / fft_size (see fft.hpp on
+/// why they agree bit for bit).  `r` must hold x.size() doubles and
+/// `work` n + 1 complex elements (the autocorrelation buffers).
+/// @throws std::invalid_argument if x is empty, fft_size < x.size() or
+///         fft_size does not divide n, or a buffer is too small
+PitchMagnitude pitch_and_magnitude(std::span<const double> x,
+                                   double sample_rate, double fmin,
+                                   double fmax, double voicing_threshold,
+                                   std::size_t fft_size, std::span<double> r,
+                                   std::span<std::complex<double>> work);
 
 /// Reference pitch estimator over the complex-FFT autocorrelation (the
 /// pre-RfftPlan pipeline); agrees with estimate_pitch() to rounding.
@@ -52,18 +66,6 @@ std::optional<double> estimate_pitch_ref(std::span<const double> x,
 /// Spectral centroid in Hz of the one-sided magnitude spectrum.
 double spectral_centroid(std::span<const double> magnitude,
                          double sample_rate, std::size_t fft_size);
-
-/// Mean of the one-sided magnitude spectrum (the paper's "magnitude"
-/// feature).
-double mean_magnitude(std::span<const double> x, std::size_t fft_size);
-
-/// Allocation-free mean_magnitude: `mag` must hold fft_size/2 + 1
-/// doubles and `work` fft_size + 1 complex elements (the
-/// magnitude_spectrum span contract).  Bit-identical to the allocating
-/// overload.
-double mean_magnitude(std::span<const double> x, std::size_t fft_size,
-                      std::span<double> mag,
-                      std::span<std::complex<double>> work);
 
 /// Spectral rolloff frequency: lowest Hz below which `fraction` of the
 /// total spectral energy lies.

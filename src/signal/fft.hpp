@@ -34,12 +34,52 @@
 // that overflows) NaN propagates where Annex G would have recovered an
 // infinity.  Served audio is always finite: the synthesizer's output,
 // and audio faults only drop, zero, clamp or sample-and-hold samples.
+//
+// Loops around the butterfly.  Every stage calls one inline butterfly
+// with the expression above; only the loops around it are shaped for
+// speed.  The bit reversal applies a precomputed list of its disjoint
+// (i, j) swaps: the same permutation with no per-index test, and it
+// moves values without arithmetic.  The len-2 and len-4 stages run as
+// fixed-size blocks, so their one- and two-trip inner loops unroll and
+// vectorize across blocks.  The longer stages pass each block's halves
+// and the twiddle table as __restrict pointers (with GCC ivdep), so no
+// run-time overlap check runs per block.  None of this moves an
+// operation past another: a stage's butterflies touch disjoint pairs
+// and read only what the stage before stored, so their order within a
+// stage cannot change a bit.
+// The len-2 stage still multiplies by its twiddle (1, -0): skipping the
+// product would change the sign of a zero sum, which the oracle test's
+// -0.0 inputs catch.
+//
+// Even bins.  For a frame of L samples, the pitch autocorrelation's
+// n = next_pow2(2L)-point real transform holds the (n/2)-point spectrum
+// of the same frame in its even bins, bit for bit up to the sign of a
+// zero, so the row step reads its magnitude feature there instead of
+// running a second transform.  RfftPlan packs the frame into ceil(L/2)
+// complex pairs, which fill at most the first half of the n-point
+// plan's n/2-point complex buffer; the (n/2)-point plan packs the same
+// pairs into n/4 points.  The even outputs of a radix-2 DIT stage read
+// only even outputs of the stage before, so by induction over the
+// stages: after the length-2m stage the larger buffer's even bins are
+// what the smaller one holds after its length-m stage.  At the first
+// stage the extra butterflies pair each value with an exact zero from
+// the padding; at every later one the twiddle angles -2*pi*(2k)/(2m)
+// and -2*pi*k/m differ by a factor of two in numerator and
+// denominator, which scales exactly, so std::polar returns the same
+// bits.  The unpack then reads Z[2k] and Z[n/2 - 2k], the smaller
+// buffer's k and n/4 - k, with twiddles for 2k/n and k/(n/2) that agree
+// the same way.  Adding an exact zero returns the other operand, except
+// that -0 + 0 is +0.  A zero whose sign differs stays a zero through
+// every later sum and product, and |X|^2 squares the sign away, so
+// power, magnitude and their sums are identical.  tests/test_kernels.cpp
+// pins the rows against the two-transform path on a corpus.
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace affectsys::signal {
@@ -48,7 +88,8 @@ namespace affectsys::signal {
 std::size_t next_pow2(std::size_t n);
 
 /// Precomputed transform of one power-of-two size: the bit-reversal
-/// permutation and per-stage twiddle tables (forward and conjugate).
+/// permutation as a list of swaps and per-stage twiddle tables (forward
+/// and conjugate).
 /// Each twiddle is generated directly as exp(-2*pi*i*k/len)
 /// (std::polar), not via the multiplicative `w *= wlen` recurrence the
 /// unplanned kernel used — that recurrence accumulates one rounding
@@ -85,7 +126,9 @@ class FftPlan {
 
  private:
   std::size_t n_;
-  std::vector<std::uint32_t> bitrev_;
+  /// The bit-reversal permutation as its (i, j) swaps, i < j.  They
+  /// are disjoint, so their order does not matter.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps_;
   /// Stage-major forward twiddles: for each len = 2,4,...,n the len/2
   /// factors exp(-2*pi*i*k/len); n-1 entries total.
   std::vector<std::complex<double>> twiddle_;
@@ -209,7 +252,11 @@ std::vector<double> autocorrelation(std::span<const double> x);
 /// Allocation-free autocorrelation: writes r[k] for k in [0, r.size())
 /// (r.size() <= x.size()); `work` must hold next_pow2(2 * x.size()) + 1
 /// complex elements (one-sided spectrum plus half-size scratch).
-/// Bit-identical to the allocating overload.
+/// Bit-identical to the allocating overload.  On return the first
+/// next_pow2(2 * x.size()) / 2 + 1 elements of `work` hold the one-sided
+/// power spectrum |X[k]|^2 of the padded x as real parts (imaginary
+/// parts zero), so a caller can read spectral features off the same
+/// forward transform.
 void autocorrelation(std::span<const double> x, std::span<double> r,
                      std::span<std::complex<double>> work);
 

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstddef>
 #include <cstring>
 #include <numbers>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -102,23 +104,47 @@ void oracle_fft(std::vector<std::complex<double>>& data, bool inverse) {
 // The plan's real-arithmetic butterflies spell each product the way the
 // compiler lowers the complex multiply, so on finite input they equal
 // the std::complex loop exactly, forward and inverse, at every size.
+// Beside a dense vector, the inputs include the shapes the served path
+// feeds the plan: a zero-padded frame (the first 40% nonzero, the rest
+// exact zeros), an all-zero buffer, and -0.0 entries, whose sign a
+// reordered or skipped multiply by a 1 or 0 twiddle part would flip.
 TEST(FftPlan, ButterfliesEqualComplexOracleExactly) {
   std::mt19937 rng(2024);
   std::uniform_real_distribution<double> val(-1.0, 1.0);
   for (std::size_t n = 1; n <= 4096; n <<= 1) {
-    std::vector<std::complex<double>> x(n);
-    for (auto& c : x) c = {val(rng), val(rng)};
+    std::vector<std::complex<double>> dense(n);
+    for (auto& c : dense) c = {val(rng), val(rng)};
+    std::vector<std::complex<double>> zero_tailed(n);
+    for (std::size_t i = 0; i < n * 2 / 5; ++i) {
+      zero_tailed[i] = {val(rng), val(rng)};
+    }
+    const std::vector<std::complex<double>> all_zero(n);
+    std::vector<std::complex<double>> neg_zero(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      neg_zero[i] = {i % 3 == 0 ? -0.0 : val(rng),
+                     i % 2 == 0 ? -0.0 : val(rng)};
+    }
+    const std::vector<std::complex<double>> all_neg_zero(n, {-0.0, -0.0});
     const signal::FftPlan plan(n);
-    for (const bool inverse : {false, true}) {
-      std::vector<std::complex<double>> got = x;
-      std::vector<std::complex<double>> want = x;
-      plan.execute(got, inverse);
-      oracle_fft(want, inverse);
-      std::size_t mismatches = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (std::memcmp(&got[k], &want[k], sizeof(got[k])) != 0) ++mismatches;
+    const struct {
+      const char* name;
+      const std::vector<std::complex<double>>* x;
+    } shapes[] = {{"dense", &dense},
+                  {"zero-tailed", &zero_tailed},
+                  {"all-zero", &all_zero},
+                  {"negative-zero", &neg_zero},
+                  {"all-negative-zero", &all_neg_zero}};
+    for (const auto& shape : shapes) {
+      for (const bool inverse : {false, true}) {
+        std::vector<std::complex<double>> got = *shape.x;
+        std::vector<std::complex<double>> want = *shape.x;
+        plan.execute(got, inverse);
+        oracle_fft(want, inverse);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              n * sizeof(std::complex<double>)),
+                  0)
+            << shape.name << " n=" << n << " inverse=" << inverse;
       }
-      EXPECT_EQ(mismatches, 0u) << "n=" << n << " inverse=" << inverse;
     }
   }
 }
@@ -281,6 +307,154 @@ TEST(FeaturePipeline, MfccWorkspaceFrameTracksReference) {
   ASSERT_EQ(opt.size(), ref.size());
   for (std::size_t k = 0; k < opt.size(); ++k) {
     EXPECT_NEAR(opt[k], ref[k], 1e-5) << "k=" << k;
+  }
+}
+
+namespace {
+
+/// Pitch and magnitude from the two-transform path the row step used to
+/// run: pitch from estimate_pitch()'s own autocorrelation, and magnitude
+/// as the mean of a separate fft_size-point magnitude spectrum (sqrt of
+/// each bin's norm, summed in bin order).
+signal::PitchMagnitude two_transform_pitch_magnitude(
+    std::span<const double> frame, const signal::MfccConfig& mc) {
+  signal::PitchMagnitude pm;
+  pm.pitch = signal::estimate_pitch(frame, mc.sample_rate, 60.0, 400.0, 0.3);
+  const std::vector<double> mag =
+      signal::magnitude_spectrum(frame, mc.fft_size);
+  double acc = 0.0;
+  for (const double m : mag) acc += m;
+  pm.magnitude = acc / static_cast<double>(mag.size());
+  return pm;
+}
+
+/// compute_rows()'s row for `frame` rebuilt around the two-transform
+/// pitch and magnitude.
+std::vector<float> two_transform_row(const signal::MfccExtractor& mfcc,
+                                     std::span<const double> frame,
+                                     std::size_t dim) {
+  const signal::MfccConfig& mc = mfcc.config();
+  std::vector<double> coeffs(std::min(mc.num_coeffs, mc.num_filters));
+  signal::MfccWorkspace ws;
+  mfcc.extract_frame(frame, coeffs, ws);
+  std::vector<float> row(dim, 0.0f);
+  std::size_t c = 0;
+  for (; c < coeffs.size(); ++c) row[c] = static_cast<float>(coeffs[c]);
+  row[c++] = static_cast<float>(signal::zero_crossing_rate(frame));
+  row[c++] = static_cast<float>(signal::rms(frame));
+  const signal::PitchMagnitude pm = two_transform_pitch_magnitude(frame, mc);
+  row[c++] = static_cast<float>(pm.pitch.value_or(0.0) / 400.0);
+  row[c++] = static_cast<float>(pm.magnitude);
+  return row;
+}
+
+/// The pitch (0 when unvoiced; a voiced pitch is positive) and the
+/// magnitude as two doubles, for memcmp.
+std::array<double, 2> pitch_magnitude_bits(const signal::PitchMagnitude& pm) {
+  return {pm.pitch.value_or(0.0), pm.magnitude};
+}
+
+/// The row-step corpus: synthesized speech in every emotion from six
+/// speakers, then the edge cases of the magnitude read: noise across six
+/// decades of amplitude, digital silence, sparse impulses, gated noise,
+/// all -0.0 and all 1e-300 (whose squares underflow).
+std::vector<std::vector<double>> row_corpus() {
+  std::vector<std::vector<double>> corpus;
+  affect::SpeechSynthesizer synth(41);
+  for (std::size_t e = 0; e < affect::kNumEmotions; ++e) {
+    for (int speaker = 0; speaker < 6; ++speaker) {
+      corpus.push_back(synth
+                           .synthesize(static_cast<affect::Emotion>(e),
+                                       speaker, 0.5, 16000.0, 0.1)
+                           .samples);
+    }
+  }
+  constexpr std::size_t kLen = 4000;
+  std::mt19937 rng(43);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int decade = -6; decade <= 0; ++decade) {
+    const double amp = std::pow(10.0, decade);
+    std::vector<double> x(kLen);
+    for (double& v : x) v = amp * unit(rng);
+    corpus.push_back(std::move(x));
+  }
+  corpus.emplace_back(kLen, 0.0);
+  std::vector<double> impulses(kLen, 0.0);
+  for (std::size_t i = 37; i < kLen; i += 211) impulses[i] = 1.0;
+  corpus.push_back(std::move(impulses));
+  std::vector<double> gated(kLen, 0.0);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    if (i % 1280 < 480) gated[i] = 0.3 * unit(rng);
+  }
+  corpus.push_back(std::move(gated));
+  corpus.emplace_back(kLen, -0.0);
+  corpus.emplace_back(kLen, 1e-300);
+  return corpus;
+}
+
+}  // namespace
+
+// The row step reads pitch and magnitude off one transform: the
+// magnitude column comes from the pitch autocorrelation's bins at stride
+// next_pow2(2 * frame_len) / fft_size (2 by default, 1 when fft_size is
+// the pitch transform's size).  Every row equals the two-transform path
+// byte for byte, and so do the pitch and magnitude doubles before the
+// row rounds them to float.
+TEST(FeaturePipeline, SharedTransformRowsEqualTwoTransformPath) {
+  const std::vector<std::vector<double>> corpus = row_corpus();
+  for (const std::size_t fft_size : {std::size_t{512}, std::size_t{1024}}) {
+    affect::FeatureConfig fc;
+    fc.mfcc.fft_size = fft_size;
+    fc.timesteps = 128;
+    const signal::MfccConfig& mc = fc.mfcc;
+    const affect::FeatureExtractor fx(fc);
+    const signal::MfccExtractor mfcc(mc);
+    nn::Matrix raw(fc.timesteps, fx.feature_dim());
+    std::vector<double> frame(mc.frame_len), r(mc.frame_len);
+    std::vector<std::complex<double>> work(
+        signal::next_pow2(2 * mc.frame_len) + 1);
+    std::size_t rows_checked = 0, mismatches = 0;
+    for (std::size_t u = 0; u < corpus.size() && mismatches < 5; ++u) {
+      const std::vector<double>& x = corpus[u];
+      const std::size_t rows = fx.window_rows(x.size());
+      fx.compute_rows(x, 0, rows, raw);
+      for (std::size_t t = 0; t < rows && mismatches < 5; ++t) {
+        signal::copy_frame(x, t, mc.hop, frame);
+        const std::vector<float> want =
+            two_transform_row(mfcc, frame, fx.feature_dim());
+        const auto shared = pitch_magnitude_bits(signal::pitch_and_magnitude(
+            frame, mc.sample_rate, 60.0, 400.0, 0.3, fft_size, r, work));
+        const auto split =
+            pitch_magnitude_bits(two_transform_pitch_magnitude(frame, mc));
+        ++rows_checked;
+        if (std::memcmp(raw.row(t).data(), want.data(),
+                        want.size() * sizeof(float)) != 0 ||
+            std::memcmp(shared.data(), split.data(), sizeof(shared)) != 0) {
+          ADD_FAILURE() << "fft_size=" << fft_size << " signal " << u
+                        << " row " << t << ": pitch " << shared[0] << " vs "
+                        << split[0] << ", magnitude " << shared[1] << " vs "
+                        << split[1];
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_GT(rows_checked, 4000u);
+  }
+}
+
+TEST(FeaturePipeline, RejectsFftSizeTheSharedTransformCannotServe) {
+  affect::FeatureConfig fc;
+  fc.mfcc.fft_size = 2048;  // >= frame_len, but pitch transforms 1,024
+  EXPECT_THROW((void)affect::FeatureExtractor(fc), std::invalid_argument);
+
+  const std::vector<double> frame = make_signal(400, 47);
+  std::vector<double> r(400);
+  std::vector<std::complex<double>> work(1025);
+  for (const std::size_t bad : {std::size_t{256}, std::size_t{2048}}) {
+    EXPECT_THROW((void)signal::pitch_and_magnitude(frame, 16000.0, 60.0,
+                                                   400.0, 0.3, bad, r, work),
+                 std::invalid_argument)
+        << "fft_size=" << bad;
   }
 }
 
