@@ -67,25 +67,37 @@ double min_seconds(F&& fn, int rounds = 3) {
   return best;
 }
 
+/// An optimized kernel against its reference: their rates (or times)
+/// and the speedup of the optimized one.
 struct Pair {
   double opt = 0.0;
   double ref = 0.0;
-  double speedup() const { return ref > 0.0 ? opt / ref : 0.0; }
+  double speedup = 0.0;
 };
 
-/// min_seconds for an optimized kernel and its reference with their
-/// rounds interleaved (opt, ref, opt, ref, ...), so load that comes and
-/// goes on a shared host reaches both sides of the speedup that
-/// `run_verify.sh kernels` checks.  Returns the fastest round of each
-/// as {opt, ref}.
+/// Times an optimized kernel and its reference in interleaved rounds
+/// (opt, ref, opt, ref, ...) and returns the fastest round of each as
+/// {opt, ref} in seconds, with the speedup as the median of the
+/// per-round ref/opt ratios.  Each ratio compares two runs a few
+/// milliseconds apart, so load that comes and goes on a shared host
+/// reaches both of its sides; a fastest-of-each ratio could pair one
+/// side's quietest moment with the other's busiest.  `run_verify.sh
+/// kernels` checks the feature and deblock speedups.
 template <typename Opt, typename Ref>
-Pair min_seconds_pair(Opt&& opt, Ref&& ref, int rounds = 3) {
+Pair time_pair(Opt&& opt, Ref&& ref, int rounds) {
   Pair best{std::numeric_limits<double>::infinity(),
-            std::numeric_limits<double>::infinity()};
+            std::numeric_limits<double>::infinity(), 0.0};
+  std::vector<double> ratios;
   for (int r = 0; r < rounds; ++r) {
-    best.opt = std::min(best.opt, min_seconds(opt, 1));
-    best.ref = std::min(best.ref, min_seconds(ref, 1));
+    const double o = min_seconds(opt, 1);
+    const double f = min_seconds(ref, 1);
+    best.opt = std::min(best.opt, o);
+    best.ref = std::min(best.ref, f);
+    ratios.push_back(f / o);
   }
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  best.speedup = ratios[ratios.size() / 2];
   return best;
 }
 
@@ -119,11 +131,10 @@ Pair bench_features(bool& ok) {
     }
   }
 
-  constexpr int kReps = 24;
-  Pair p;
+  constexpr int kReps = 8;
   affect::FeatureWorkspace ws;
   float sink = 0.0f;
-  const Pair s = min_seconds_pair(
+  const Pair s = time_pair(
       [&] {
         for (int i = 0; i < kReps; ++i) {
           const nn::Matrix& m =
@@ -136,11 +147,10 @@ Pair bench_features(bool& ok) {
           const nn::Matrix m = fx.extract_ref(windows[i % windows.size()]);
           sink += m(0, 0);
         }
-      });
-  p.opt = kReps / s.opt;
-  p.ref = kReps / s.ref;
+      },
+      31);
   if (sink == 123.25f) std::printf("(unlikely)\n");
-  return p;
+  return {kReps / s.opt, kReps / s.ref, s.speedup};  // windows/s
 }
 
 // --- Deblocking: ns/frame -------------------------------------------------
@@ -149,7 +159,7 @@ constexpr int kDeblockWidth = 352;  // CIF, as served
 constexpr int kDeblockHeight = 288;
 
 struct DeblockTiming {
-  Pair ns;  ///< ns per frame; speedup computed as ref/opt below
+  Pair ns;  ///< ns per frame
   int qp = 0;
   h264::DeblockStats stats;
 };
@@ -188,9 +198,9 @@ DeblockTiming bench_deblock(bool& ok) {
 
   // Each rep filters a fresh copy (comparable work per rep); the copy
   // is timed on both sides.
-  constexpr int kReps = 16;
+  constexpr int kReps = 4;
   h264::YuvFrame frame = base;
-  const Pair s = min_seconds_pair(
+  const Pair s = time_pair(
       [&] {
         for (int i = 0; i < kReps; ++i) {
           frame = base;
@@ -203,9 +213,8 @@ DeblockTiming bench_deblock(bool& ok) {
           h264::oracle::deblock_frame_reference(frame, mb_info, t.qp);
         }
       },
-      7);
-  t.ns.opt = s.opt * 1e9 / kReps;
-  t.ns.ref = s.ref * 1e9 / kReps;
+      61);
+  t.ns = {s.opt * 1e9 / kReps, s.ref * 1e9 / kReps, s.speedup};
   return t;
 }
 
@@ -225,9 +234,8 @@ Pair bench_gemm() {
   }
   constexpr int kReps = 4;
   const double flops = 2.0 * static_cast<double>(kN) * kN * kN * kReps;
-  Pair p;
   float sink = 0.0f;
-  const Pair s = min_seconds_pair(
+  const Pair s = time_pair(
       [&] {
         for (int i = 0; i < kReps; ++i) {
           const nn::Matrix c = a.matmul(b);
@@ -239,11 +247,10 @@ Pair bench_gemm() {
           const nn::Matrix c = a.matmul_reference(b);
           sink += c(0, 0);
         }
-      });
-  p.opt = flops / s.opt / 1e9;
-  p.ref = flops / s.ref / 1e9;
+      },
+      3);
   if (sink == 123.25f) std::printf("(unlikely)\n");
-  return p;
+  return {flops / s.opt / 1e9, flops / s.ref / 1e9, s.speedup};  // GFLOP/s
 }
 
 // --- Real-input FFT: microseconds per power spectrum ----------------------
@@ -259,9 +266,8 @@ Pair bench_rfft() {
   std::vector<double> out(kFft / 2 + 1);
   std::vector<std::complex<double>> work(kFft + 1);
   constexpr int kReps = 10000;
-  Pair p;  // us per call; speedup computed as ref/opt below
   double sink = 0.0;
-  const Pair s = min_seconds_pair(
+  const Pair s = time_pair(
       [&] {
         for (int i = 0; i < kReps; ++i) {
           signal::power_spectrum(x, kFft, out, work);
@@ -273,11 +279,10 @@ Pair bench_rfft() {
           const std::vector<double> ref = signal::power_spectrum_ref(x, kFft);
           sink += ref[1];
         }
-      });
-  p.opt = s.opt * 1e6 / kReps;
-  p.ref = s.ref * 1e6 / kReps;
+      },
+      3);
   if (sink == 123.25) std::printf("(unlikely)\n");
-  return p;
+  return {s.opt * 1e6 / kReps, s.ref * 1e6 / kReps, s.speedup};  // us/call
 }
 
 // --- H.264 decode: ms per CIF picture -------------------------------------
@@ -344,7 +349,7 @@ int main(int argc, char** argv) {
   w.key("feature").begin_object();
   w.key("windows_per_sec").value(feat.opt);
   w.key("ref_windows_per_sec").value(feat.ref);
-  w.key("speedup").value(feat.speedup());
+  w.key("speedup").value(feat.speedup);
   w.end_object();
   w.key("deblock").begin_object();
   w.key("width").value(kDeblockWidth);
@@ -355,17 +360,17 @@ int main(int argc, char** argv) {
   w.key("pixels_modified").value(dbk.stats.pixels_modified);
   w.key("ns_per_frame").value(dbk.ns.opt);
   w.key("ref_ns_per_frame").value(dbk.ns.ref);
-  w.key("speedup").value(dbk.ns.opt > 0.0 ? dbk.ns.ref / dbk.ns.opt : 0.0);
+  w.key("speedup").value(dbk.ns.speedup);
   w.end_object();
   w.key("gemm").begin_object();
   w.key("gflops").value(gemm.opt);
   w.key("ref_gflops").value(gemm.ref);
-  w.key("speedup").value(gemm.speedup());
+  w.key("speedup").value(gemm.speedup);
   w.end_object();
   w.key("rfft").begin_object();
   w.key("us_per_call").value(rfft.opt);
   w.key("ref_us_per_call").value(rfft.ref);
-  w.key("speedup").value(rfft.opt > 0.0 ? rfft.ref / rfft.opt : 0.0);
+  w.key("speedup").value(rfft.speedup);
   w.end_object();
   w.key("h264_decode").begin_object();
   w.key("width").value(h264::golden::kCif.width);
@@ -386,13 +391,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("feature: %.1f win/s (ref %.1f, %.2fx)\n", feat.opt, feat.ref,
-              feat.speedup());
+              feat.speedup);
   std::printf("deblock: %.0f ns/CIF frame (oracle %.0f, %.2fx)\n", dbk.ns.opt,
-              dbk.ns.ref, dbk.ns.opt > 0.0 ? dbk.ns.ref / dbk.ns.opt : 0.0);
+              dbk.ns.ref, dbk.ns.speedup);
   std::printf("gemm:    %.2f GFLOP/s (ref %.2f, %.2fx)\n", gemm.opt, gemm.ref,
-              gemm.speedup());
+              gemm.speedup);
   std::printf("rfft:    %.2f us/call (ref %.2f, %.2fx)\n", rfft.opt, rfft.ref,
-              rfft.opt > 0.0 ? rfft.ref / rfft.opt : 0.0);
+              rfft.speedup);
   std::printf("decode:  %.3f ms/CIF picture deblock on, %.3f off (deblock %.3f)\n",
               dec.ms_deblock_on, dec.ms_deblock_off,
               dec.ms_deblock_on - dec.ms_deblock_off);

@@ -2,7 +2,10 @@
 //
 //   1. How fast do the packetizer and depacketizer move bytes?  The
 //      reference clip is framed and reassembled repeatedly; throughput
-//      is payload MB/s, min-of-N.
+//      is payload MB/s, min-of-N.  A plain copy of the same NAL
+//      payloads into fresh vectors runs interleaved with packetizing,
+//      and the median per-rep ratio (packetize_vs_copy) is what the
+//      verify pass checks: load on a shared host slows both alike.
 //   2. How much of the seeded loss does XOR-parity FEC buy back?  A
 //      loss-rate sweep (1/2/5/10 %) streams the clip through a faulted
 //      TransportLink and reports recovered/dropped per rate.
@@ -10,15 +13,16 @@
 //      channel is perfect?  A transport-fed session is timed against
 //      the in-process session on the same script — after a hard
 //      decode-digest identity check — and gated at <= 5% overhead.
-//      The two sides run in interleaved pairs of long reps and the gate
-//      reads the median of the per-pair ratios, so a preemption or a
-//      load swing lands on one pair instead of on one side's minimum.
+//      The two sessions advance tick by tick side by side, alternating
+//      which goes first, and the gate compares the summed tick times:
+//      host load drifts over seconds, so both sides of every tick see
+//      the same load within a millisecond of each other.
 //   4. Does everything replay?  Each net scenario runs twice and the
 //      bench fails hard on any divergence.
 //
 // Dumps BENCH_net.json; tools/run_verify.sh `net` mode runs this in the
-// Release tree and soft-checks packetize throughput against the
-// committed copy.
+// Release tree and soft-checks packetize_vs_copy against the committed
+// copy.
 //
 // Usage: bench_net [output.json]   (default: BENCH_net.json)
 #include <algorithm>
@@ -30,6 +34,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -49,11 +54,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kReps = 15;       // framing repetitions (min taken)
 constexpr int kFrameIters = 40; // clip framings per repetition
-/// Serve-tick pairs (odd, so the median is one pair's ratio) and ticks
-/// per rep: 300 ticks take about 0.1 s, dozens of scheduler quanta,
-/// where 40 ticks fit in a few.  On a shared host single pairs still
-/// read anywhere from -15% to +20%, hence the many pairs.
-constexpr int kTickPairs = 31;
+/// Serve-tick reps, each a fresh pair of sessions stepped side by side
+/// for kServeTicks ticks (the clip wraps several times in one rep).
+constexpr int kTickReps = 31;
 constexpr std::uint64_t kServeTicks = 300;
 
 /// The clip split into access units (params units ride with their
@@ -103,18 +106,39 @@ void run_loss_pass(std::uint64_t seed, double rate,
   *loss_events += link.stats().loss_events;
 }
 
-/// Seconds for kServeTicks session ticks under `cfg`, one repetition.
-double serve_rep(const serve::SessionConfig& cfg,
-                 const serve::SessionEnv& env, std::uint64_t* digest) {
-  serve::Session s(1, cfg, env, /*inline_inference=*/true);
+/// Seconds of one session tick: audio then media, as the server runs it.
+double timed_tick(serve::Session& s, std::uint64_t t) {
   const auto t0 = Clock::now();
-  for (std::uint64_t t = 0; t < kServeTicks; ++t) {
-    s.pump_audio(t);
-    s.tick_media(t, /*degrade_level=*/0);
-  }
+  s.pump_audio(t);
+  s.tick_media(t, /*degrade_level=*/0);
   const std::chrono::duration<double> dt = Clock::now() - t0;
-  *digest = s.report().decode_digest;
   return dt.count();
+}
+
+/// Seconds each side spent in its session ticks.
+struct TickTotals {
+  double base = 0.0;
+  double piped = 0.0;
+};
+
+/// One rep: fresh sessions under `base` and `piped` stepped through
+/// kServeTicks ticks side by side, alternating which ticks first.  Adds
+/// each side's tick seconds to `totals` and returns their decode digests.
+std::pair<std::uint64_t, std::uint64_t> serve_rep(
+    const serve::SessionConfig& base, const serve::SessionConfig& piped,
+    const serve::SessionEnv& env, TickTotals& totals) {
+  serve::Session b(1, base, env, /*inline_inference=*/true);
+  serve::Session p(1, piped, env, /*inline_inference=*/true);
+  for (std::uint64_t t = 0; t < kServeTicks; ++t) {
+    if (t % 2 == 0) {
+      totals.base += timed_tick(b, t);
+      totals.piped += timed_tick(p, t);
+    } else {
+      totals.piped += timed_tick(p, t);
+      totals.base += timed_tick(b, t);
+    }
+  }
+  return {b.report().decode_digest, p.report().decode_digest};
 }
 
 }  // namespace
@@ -161,7 +185,10 @@ int main(int argc, char** argv) {
   }
   double pack_s = std::numeric_limits<double>::infinity();
   double depack_s = std::numeric_limits<double>::infinity();
+  double copy_s = std::numeric_limits<double>::infinity();
+  std::vector<double> pack_vs_copy;
   std::uint64_t packets = 0;
+  std::uint64_t copied = 0;
   for (int rep = -1; rep < kReps; ++rep) {  // rep -1 is untimed warmup
     auto t0 = Clock::now();
     packets = 0;
@@ -172,7 +199,25 @@ int main(int argc, char** argv) {
       }
     }
     std::chrono::duration<double> dt = Clock::now() - t0;
-    if (rep >= 0) pack_s = std::min(pack_s, dt.count());
+    const double pack_rep = dt.count();
+    if (rep >= 0) pack_s = std::min(pack_s, pack_rep);
+
+    // The reference beside it: the same payload bytes copied NAL by NAL
+    // into fresh vectors, the allocation and copy every framing pays.
+    t0 = Clock::now();
+    for (int it = 0; it < kFrameIters; ++it) {
+      for (const auto& au : aus) {
+        for (const auto& u : au) {
+          const std::vector<std::uint8_t> copy(u.payload);
+          copied += copy.size();
+        }
+      }
+    }
+    dt = Clock::now() - t0;
+    if (rep >= 0) {
+      copy_s = std::min(copy_s, dt.count());
+      pack_vs_copy.push_back(dt.count() / pack_rep);
+    }
 
     t0 = Clock::now();
     std::uint64_t nals_out = 0;
@@ -187,12 +232,19 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
   const double mb = payload_bytes * kFrameIters / (1024.0 * 1024.0);
   const double pack_mbs = mb / pack_s;
   const double depack_mbs = mb / depack_s;
+  const double copy_mbs = mb / copy_s;
+  const double pack_ratio = median(pack_vs_copy);
+  if (copied == 0) std::printf("(unlikely)\n");
   std::printf("framing:      packetize %6.2f MB/s  depacketize %6.2f MB/s  "
-              "(%llu packets/clip)\n",
-              pack_mbs, depack_mbs,
+              "copy %6.2f MB/s  packetize/copy %.3f (%llu packets/clip)\n",
+              pack_mbs, depack_mbs, copy_mbs, pack_ratio,
               static_cast<unsigned long long>(packets / kFrameIters));
 
   // ---- 2. FEC recovery vs loss rate ---------------------------------
@@ -228,41 +280,20 @@ int main(int argc, char** argv) {
   base.seed = 5;
   serve::SessionConfig piped = base;
   piped.transport = fault::net_scenario_transport(true);
-  std::uint64_t base_digest = 0, piped_digest = 0;
-  serve_rep(base, env, &base_digest);    // also the warmup
-  serve_rep(piped, env, &piped_digest);
+  TickTotals warm;  // the first rep doubles as the warmup
+  const auto [base_digest, piped_digest] = serve_rep(base, piped, env, warm);
   if (base_digest != piped_digest) {
     std::fprintf(stderr, "FAIL: 0-loss transport decode digest diverged\n");
     return 1;
   }
-  // Pairs alternate which side runs first, so a drift in host load
-  // within a pair favours neither side.
-  std::vector<double> base_reps, piped_reps, ratios;
-  for (int pair = 0; pair < kTickPairs; ++pair) {
-    double b = 0.0, p = 0.0;
-    if (pair % 2 == 0) {
-      b = serve_rep(base, env, &base_digest);
-      p = serve_rep(piped, env, &piped_digest);
-    } else {
-      p = serve_rep(piped, env, &piped_digest);
-      b = serve_rep(base, env, &base_digest);
-    }
-    base_reps.push_back(b);
-    piped_reps.push_back(p);
-    ratios.push_back(p / b);
-  }
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double base_s = median(base_reps);
-  const double piped_s = median(piped_reps);
-  const double tick_overhead_pct = (median(ratios) - 1.0) * 100.0;
+  TickTotals totals;
+  for (int rep = 0; rep < kTickReps; ++rep) serve_rep(base, piped, env, totals);
+  const double ticks = static_cast<double>(kServeTicks) * kTickReps;
+  const double tick_overhead_pct = (totals.piped / totals.base - 1.0) * 100.0;
   std::printf("serve tick:   in-process %.3f ms  transport %.3f ms  "
-              "overhead %+.2f%% (median of %d pair ratios)\n",
-              base_s * 1e3 / static_cast<double>(kServeTicks),
-              piped_s * 1e3 / static_cast<double>(kServeTicks),
-              tick_overhead_pct, kTickPairs);
+              "overhead %+.2f%% (%.0f interleaved ticks a side)\n",
+              totals.base * 1e3 / ticks, totals.piped * 1e3 / ticks,
+              tick_overhead_pct, ticks);
 
   // ---- 4. Replay identity -------------------------------------------
   bool replay_ok = true;
@@ -281,6 +312,8 @@ int main(int argc, char** argv) {
   w.key("framing").begin_object();
   w.key("packetize_mb_per_sec").value(pack_mbs);
   w.key("depacketize_mb_per_sec").value(depack_mbs);
+  w.key("copy_mb_per_sec").value(copy_mbs);
+  w.key("packetize_vs_copy").value(pack_ratio);
   w.key("packets_per_clip").value(packets / kFrameIters);
   w.key("nals_per_clip").value(static_cast<std::uint64_t>(total_nals));
   w.end_object();
@@ -296,11 +329,9 @@ int main(int argc, char** argv) {
   }
   w.end_array();
   w.key("serve_tick").begin_object();
-  w.key("in_process_ms_per_tick")
-      .value(base_s * 1e3 / static_cast<double>(kServeTicks));
-  w.key("transport_ms_per_tick")
-      .value(piped_s * 1e3 / static_cast<double>(kServeTicks));
-  w.key("pairs").value(kTickPairs);
+  w.key("in_process_ms_per_tick").value(totals.base * 1e3 / ticks);
+  w.key("transport_ms_per_tick").value(totals.piped * 1e3 / ticks);
+  w.key("ticks_per_side").value(static_cast<std::uint64_t>(ticks));
   w.key("serve_tick_overhead_pct").value(tick_overhead_pct);
   w.end_object();
   w.key("replay_identical").value(replay_ok);

@@ -181,8 +181,9 @@ const nn::Matrix& FeatureStream::finish(std::size_t k) {
   }
   AFFECTSYS_COUNT("affect.feature_rows", w.rows);
   AFFECTSYS_COUNT("affect.feature_rows_reused", w.reused);
-  fx_->standardize(w.raw, w.rows, out_);
-  return out_;
+  thread_local nn::Matrix out;
+  fx_->standardize(w.raw, w.rows, out);
+  return out;
 }
 
 void FeatureStream::clear() {

@@ -131,9 +131,11 @@ class FeatureStream {
   std::size_t size() const { return count_; }
   double t_end(std::size_t k) const { return windows_[k].t_end; }
   RowJob job(std::size_t k);
-  /// Copies window k's reused rows and standardizes it into the stream's
-  /// output matrix; the reference is valid until the next finish().
-  /// Every earlier window must have finished.
+  /// Copies window k's reused rows and standardizes it into this
+  /// thread's output matrix (per-thread scratch, not per-stream: the
+  /// window is consumed within the caller's finish step).  The reference
+  /// is valid until this thread's next finish() on any stream.  Every
+  /// earlier window must have finished.
   const nn::Matrix& finish(std::size_t k);
   void clear();
 
@@ -156,7 +158,6 @@ class FeatureStream {
   /// The last finished window, the next reuse source (empty, so
   /// matching no window's length, until one has finished).
   Window prev_;
-  nn::Matrix out_;
 };
 
 }  // namespace affectsys::affect

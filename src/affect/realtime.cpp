@@ -1,5 +1,7 @@
 #include "affect/realtime.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 
 namespace affectsys::affect {
@@ -26,21 +28,20 @@ std::optional<Emotion> RealtimePipeline::push_audio(
   AFFECTSYS_COUNT("affect.samples_in", chunk.size());
   const auto window_len =
       static_cast<std::size_t>(cfg_.window_s * cfg_.sample_rate_hz);
-  // The buffer never holds more than one window plus one chunk; reserve
-  // exactly that up front rather than let insert's doubling overshoot
-  // (and strand the blocks it outgrows).
-  if (buffer_.capacity() == 0 && !chunk.empty()) {
-    buffer_.reserve(window_len + chunk.size());
-  }
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+  // The buffer never holds more than one window: reserve exactly that
+  // up front rather than let insert's doubling overshoot (and strand
+  // the blocks it outgrows).
+  if (buffer_.capacity() == 0 && !chunk.empty()) buffer_.reserve(window_len);
+  // Keep at most one window of history: drop what the chunk pushes out
+  // before appending it, so the buffer never exceeds its reserve.  A
+  // chunk of a window or more keeps only its last window_len samples.
+  const std::size_t take = std::min(chunk.size(), window_len);
+  const std::size_t keep = std::min(buffer_.size(), window_len - take);
+  buffer_.erase(buffer_.begin(), buffer_.end() - static_cast<long>(keep));
+  buffer_.insert(buffer_.end(), chunk.end() - static_cast<long>(take),
+                 chunk.end());
   buffer_end_t_ =
       t_s + static_cast<double>(chunk.size()) / cfg_.sample_rate_hz;
-
-  // Keep at most one window of history.
-  if (buffer_.size() > window_len) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.end() - static_cast<long>(window_len));
-  }
 
   std::optional<Emotion> changed;
   while (buffer_.size() >= window_len && buffer_end_t_ >= next_window_t_) {

@@ -6,10 +6,11 @@
 // the VAD saw enough speech, and stable emotions pop out the other end.
 //
 // Steady-state the per-window path is allocation-free: the window
-// buffer holds exactly one window plus one chunk from the first push,
-// VAD stages frames through a reused buffer, and extraction (in-pipeline
-// classification only; sink mode hands the raw window out) writes the
-// classifier's reused output matrix from thread-local frame scratch.
+// buffer reserves exactly one window on the first push and never grows
+// past it, VAD stages frames through thread-local scratch, and
+// extraction (in-pipeline classification only; sink mode hands the raw
+// window out) writes the classifier's reused output matrix from
+// thread-local frame scratch.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +115,7 @@ class RealtimePipeline {
   VoiceActivityDetector vad_;
   EmotionStream stream_;
   RealtimeStats stats_;
-  std::vector<double> buffer_;  ///< sliding window of recent samples
+  std::vector<double> buffer_;  ///< the last window_len samples at most
   double buffer_end_t_ = 0.0;
   double next_window_t_ = 0.0;
   /// False until the first full window fires; the first deadline anchors

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "signal/features.hpp"
 #include "signal/window.hpp"
@@ -44,16 +45,18 @@ double VoiceActivityDetector::speech_fraction(
     std::span<const double> signal) {
   // Deliberately does NOT reset(): the noise floor keeps adapting across
   // calls, which is what a continuously-running wearable detector does.
-  // Frames are staged through one reused buffer instead of materializing
-  // the whole frame list; the zero-padded copy matches frame_signal's
-  // output, so the decisions are identical.
+  // Frames are staged through this thread's scratch instead of
+  // materializing the whole frame list (or holding a copy per detector);
+  // the zero-padded copy matches frame_signal's output, so the decisions
+  // are identical.
   const std::size_t total =
       signal::frame_count(signal.size(), cfg_.frame_len, cfg_.hop);
-  frame_buf_.resize(cfg_.frame_len);
+  thread_local std::vector<double> frame;
+  frame.resize(cfg_.frame_len);
   std::size_t speech = 0;
   for (std::size_t t = 0; t < total; ++t) {
-    signal::copy_frame(signal, t, cfg_.hop, frame_buf_);
-    speech += process_frame(frame_buf_);
+    signal::copy_frame(signal, t, cfg_.hop, frame);
+    speech += process_frame(frame);
   }
   return total ? static_cast<double>(speech) / static_cast<double>(total)
                : 0.0;

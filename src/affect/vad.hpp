@@ -6,8 +6,8 @@
 // affect/realtime.hpp).
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace affectsys::affect {
 
@@ -44,9 +44,6 @@ class VoiceActivityDetector {
   VadConfig cfg_;
   double noise_floor_ = 1e-4;
   int hangover_ = 0;
-  /// Frame scratch reused across speech_fraction() calls (zero
-  /// allocation steady-state).
-  std::vector<double> frame_buf_;
 };
 
 }  // namespace affectsys::affect

@@ -152,8 +152,12 @@ class BufferPool {
   friend class BufferRef;
   void release(BufferBlock* block);
 
+  /// Bytes from one block's header to the next, rounded up so every
+  /// header (and payload) stays max_align_t-aligned whatever the block
+  /// size.
   std::size_t stride() const {
-    return BufferBlock::payload_offset() + cfg_.block_size;
+    constexpr std::size_t a = alignof(std::max_align_t);
+    return (BufferBlock::payload_offset() + cfg_.block_size + a - 1) / a * a;
   }
 
   BufferPoolConfig cfg_;

@@ -39,12 +39,14 @@ std::optional<MediaPacket> FecEncoder::add(const MediaPacket& p) {
 core::BufferRef FecRecovery::make_blob(std::span<const std::uint8_t> bytes) {
   if (!pool_) {
     // Sized for the prune() cap (1024 cached blobs) plus slack for the
-    // handful alive mid-recover; 2 KiB blocks cover any MTU-bounded
-    // wire packet, with heap fallback beyond.
-    pool_ = std::make_unique<core::BufferPool>(
-        core::BufferPoolConfig{.block_size = 2048, .blocks = 1100});
+    // handful alive mid-recover; blocks fit the sender's longest wire
+    // packet, with heap fallback beyond (a receiver caches whatever
+    // the network delivers).
+    pool_ = std::make_unique<core::BufferPool>(core::BufferPoolConfig{
+        .block_size = stats_.block_bytes, .blocks = 1100});
   }
   core::BufferRef ref = pool_->acquire(bytes.size());
+  if (!ref.pooled()) ++stats_.blob_heap_fallbacks;
   std::copy(bytes.begin(), bytes.end(), ref.data());
   return ref;
 }

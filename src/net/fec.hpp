@@ -18,6 +18,7 @@
 // protection.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -63,11 +64,18 @@ struct FecStats {
   std::uint64_t packets_recovered = 0;
   std::uint64_t groups_complete = 0;   ///< parity discarded, nothing missing
   std::uint64_t groups_unrecoverable = 0;  ///< >=2 losses or stale/corrupt
+  std::size_t block_bytes = 0;  ///< payload bytes per cached-blob pool block
+  std::uint64_t blob_heap_fallbacks = 0;  ///< blobs cached outside the pool
 };
 
 class FecRecovery {
  public:
-  explicit FecRecovery(const FecConfig& cfg) : cfg_(cfg) {}
+  /// `max_wire_bytes` sizes the blob cache's pool blocks: the longest
+  /// wire packet the lane's packetizer emits (kWireHeaderBytes + MTU).
+  /// A longer blob still caches, on the heap.
+  FecRecovery(const FecConfig& cfg, std::size_t max_wire_bytes) : cfg_(cfg) {
+    stats_.block_bytes = max_wire_bytes;
+  }
 
   /// Records a received (or recovered) data packet's wire blob.
   void add_data(const MediaPacket& p);
@@ -94,8 +102,11 @@ class FecRecovery {
   /// Cached wire blobs live in pooled refcounted buffers instead of
   /// per-entry vectors: the cache holds at most 1024 blobs (see
   /// prune()), so a 1100-block pool keeps the steady state entirely
-  /// within one arena.  The pool is declared (and therefore destroyed)
-  /// after the map's refs release back into it.
+  /// within one arena.  Each block holds stats_.block_bytes, the
+  /// largest wire packet the sender emits (144-byte strides at MTU 96,
+  /// 158,400 bytes a lane), since a recovered blob is never longer than
+  /// its group's longest member.  The pool is declared (and therefore
+  /// destroyed) after the map's refs release back into it.
   std::unique_ptr<core::BufferPool> pool_;
   std::map<std::uint64_t, core::BufferRef> blobs_;
   std::vector<std::uint8_t> wire_scratch_;  ///< add_data serialization

@@ -27,7 +27,7 @@ std::vector<MediaPacket> Packetizer::packetize(
     std::span<const h264::NalUnit> nals, std::uint32_t timestamp,
     std::uint32_t generation, std::uint8_t layer) {
   std::vector<MediaPacket> out;
-  const std::size_t mtu = std::max<std::size_t>(cfg_.mtu, 1);
+  const std::size_t mtu = max_payload_bytes();
   std::size_t i = 0;
   while (i < nals.size()) {
     // Try STAP-style aggregation: how many consecutive NALs fit in one

@@ -16,6 +16,8 @@
 // would never know to resync.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,6 +50,12 @@ class Packetizer {
                                      std::uint8_t layer = 0);
 
   std::uint16_t next_seq() const { return seq_; }
+
+  /// Bound on every packet's payload: single, fragment and aggregate
+  /// packets all stay at or under the MTU (at least 1).
+  std::size_t max_payload_bytes() const {
+    return std::max<std::size_t>(cfg_.mtu, 1);
+  }
 
  private:
   PacketizerConfig cfg_;

@@ -95,10 +95,12 @@ class TransportLink {
 
  private:
   struct Lane {
+    // fec_rec reads the packetizer's payload bound, so packetizer is
+    // declared (and initialized) first.
     Lane(const TransportConfig& cfg)
         : packetizer(cfg.packetizer),
           fec_enc(cfg.fec),
-          fec_rec(cfg.fec),
+          fec_rec(cfg.fec, kWireHeaderBytes + packetizer.max_payload_bytes()),
           jitter(cfg.jitter) {}
     Packetizer packetizer;
     FecEncoder fec_enc;

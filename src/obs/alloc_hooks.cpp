@@ -12,6 +12,7 @@ namespace {
 // constinit: the replacement operators below can run before any static
 // constructor, so the counters must be constant-initialized.
 constinit std::atomic<std::uint64_t> g_news{0};
+constinit std::atomic<std::uint64_t> g_bytes{0};
 constinit std::atomic<std::uint64_t> g_frees{0};
 
 }  // namespace
@@ -26,6 +27,10 @@ bool alloc_tracking_enabled() noexcept {
 
 std::uint64_t alloc_count() noexcept {
   return g_news.load(std::memory_order_relaxed);
+}
+
+std::uint64_t alloc_bytes() noexcept {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 std::uint64_t free_count() noexcept {
@@ -52,13 +57,18 @@ void publish_alloc_gauges() {
 // every allocation).
 namespace {
 
-void* counted_alloc(std::size_t size) {
+void count_new(std::size_t size) noexcept {
   affectsys::obs::g_news.fetch_add(1, std::memory_order_relaxed);
+  affectsys::obs::g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
+void* counted_alloc(std::size_t size) {
+  count_new(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
-  affectsys::obs::g_news.fetch_add(1, std::memory_order_relaxed);
+  count_new(size);
   const std::size_t a = static_cast<std::size_t>(al);
   void* p = nullptr;
   // posix_memalign requires a pointer-multiple alignment; every

@@ -1,12 +1,13 @@
 // Process-wide allocation counting: global operator new/delete
-// replacements (compiled in only under AFFECTSYS_METRICS) feeding two
+// replacements (compiled in only under AFFECTSYS_METRICS) feeding
 // relaxed atomic counters, so a steady-state code path can *prove* it
 // performs zero heap allocation — the gate the pooled serve path and
-// the PR 3 zero-allocation feature extraction run behind.
+// the zero-allocation feature extraction run behind — and a memory pin
+// can bound how many bytes a region asks for.
 //
-// Cost when enabled: one relaxed fetch_add per new/delete.  When
-// AFFECTSYS_METRICS is off the replacement operators are not compiled
-// at all and both counts read 0.
+// Cost when enabled: two relaxed fetch_adds per new, one per delete.
+// When AFFECTSYS_METRICS is off the replacement operators are not
+// compiled at all and every count reads 0.
 //
 // Usage pattern (tests / bench):
 //   const auto before = obs::alloc_count();
@@ -25,6 +26,11 @@ bool alloc_tracking_enabled() noexcept;
 /// operator new invocations (all variants) since process start; 0 when
 /// tracking is off.
 std::uint64_t alloc_count() noexcept;
+
+/// Bytes requested from operator new (all variants) since process
+/// start; 0 when tracking is off.  A running total: frees do not
+/// subtract from it.
+std::uint64_t alloc_bytes() noexcept;
 
 /// operator delete invocations since process start; 0 when tracking is
 /// off.

@@ -39,9 +39,6 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
   if (script_.empty()) {
     throw std::invalid_argument("Session: script_segments must be >= 1");
   }
-  chunk_.resize(static_cast<std::size_t>(
-      std::llround(cfg_.tick_s * cfg_.realtime.sample_rate_hz)));
-
   // Integer per-segment sample counts (truncated from the seconds at
   // this session's sample rate), so playback walks whole samples.
   const double rate = cfg_.realtime.sample_rate_hz;
@@ -96,7 +93,7 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
       });
 }
 
-void Session::fill_chunk(std::vector<double>& chunk) {
+void Session::fill_chunk(std::span<double> chunk) {
   for (double& sample : chunk) {
     const ScriptSegment* seg = &script_[script_idx_];
     std::size_t total_n = seg->speech_samples + seg->silence_samples;
@@ -149,23 +146,29 @@ void Session::ingest_audio(std::uint64_t tick) {
       return;
     }
   }
-  fill_chunk(chunk_);
+  // The chunk lives only inside this call (the pipeline copies it into
+  // its window buffer), so it is this thread's scratch, not session
+  // state.
+  thread_local std::vector<double> chunk;
+  chunk.resize(static_cast<std::size_t>(
+      std::llround(cfg_.tick_s * cfg_.realtime.sample_rate_hz)));
+  fill_chunk(chunk);
   if (fault_plan_.enabled() &&
-      !fault::maybe_fault_audio(chunk_, fault_plan_, fault_counts_)) {
+      !fault::maybe_fault_audio(chunk, fault_plan_, fault_counts_)) {
     ++stats_.chunks_dropped;
     return;  // capture gap: the chunk never reaches the pipeline
   }
   // Active-speaker observation: mean-square energy of the chunk that
   // actually reaches the pipeline (post-fault, so a zeroed chunk reads
   // as silence — the detector hears what the pipeline hears).
-  if (!chunk_.empty()) {
+  if (!chunk.empty()) {
     double acc = 0.0;
-    for (double s : chunk_) acc += s * s;
-    last_energy_ = acc / static_cast<double>(chunk_.size());
+    for (double s : chunk) acc += s * s;
+    last_energy_ = acc / static_cast<double>(chunk.size());
   }
   // Media time runs on the *local* clock, which advances only on ticks
   // that run, so idle phases never appear as capture gaps.
-  pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk_);
+  pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk);
 }
 
 // The pipeline's running sample count (its buffer's coordinates, which

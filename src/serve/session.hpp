@@ -314,7 +314,7 @@ class Session {
   void stage_window(double t_end, const nn::Matrix& features);
   void record_result(std::uint64_t seq, double t_end,
                      const affect::ClassificationResult& res);
-  void fill_chunk(std::vector<double>& chunk);
+  void fill_chunk(std::span<double> chunk);
   /// Sender: walks `slots` display slots of clip_ (wrap, layer choice,
   /// join, Input Selector deletion) and hands each access unit to the
   /// link.
@@ -346,7 +346,6 @@ class Session {
   std::vector<ScriptSegment> script_;
   std::size_t script_idx_ = 0;
   std::size_t script_offset_ = 0;  ///< samples into the current segment
-  std::vector<double> chunk_;
   std::uint64_t current_tick_ = 0;  ///< stamped onto staged requests
   /// Local (media) clock: starts at the admission tick and advances by
   /// one per executed tick.  All media timing (audio timestamps, frame

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -30,6 +31,11 @@ namespace net = affectsys::net;
 namespace serve = affectsys::serve;
 
 namespace {
+
+/// Blob bound for the hand-built FEC cases: the default MTU's longest
+/// wire packet.
+constexpr std::size_t kMaxWire =
+    net::kWireHeaderBytes + net::PacketizerConfig{}.mtu;
 
 net::MediaPacket mk_packet(std::uint16_t seq) {
   net::MediaPacket p;
@@ -372,7 +378,7 @@ TEST(Fec, RecoversSingleLossAcrossWrap) {
   EXPECT_EQ(parity->fec_base, 65533);
   EXPECT_EQ(parity->fec_count, 4);
 
-  net::FecRecovery rec(fc);
+  net::FecRecovery rec(fc, kMaxWire);
   for (const auto& p : group) {
     if (p.seq != 65535) rec.add_data(p);
   }
@@ -393,7 +399,7 @@ TEST(Fec, TwoLossesInGroupStayMissing) {
     if (auto out = enc.add(group.back())) parity = std::move(out);
   }
   ASSERT_TRUE(parity.has_value());
-  net::FecRecovery rec(fc);
+  net::FecRecovery rec(fc, kMaxWire);
   rec.add_data(group[0]);
   rec.add_data(group[3]);
   rec.add_parity(*parity);
@@ -415,11 +421,98 @@ TEST(Fec, CompleteGroupDiscardsParity) {
     group.push_back(mk_packet(s));
     if (auto out = enc.add(group.back())) parity = std::move(out);
   }
-  net::FecRecovery rec(fc);
+  net::FecRecovery rec(fc, kMaxWire);
   for (const auto& p : group) rec.add_data(p);
   rec.add_parity(*parity);
   EXPECT_TRUE(rec.recover().empty());
   EXPECT_EQ(rec.stats().groups_complete, 1u);
+}
+
+// Each lane caches the wire blobs of the last 1,024 data packets in pool
+// blocks sized to the longest packet its packetizer emits.  Singles,
+// fragments and aggregates all stay within the MTU, and a recovered
+// blob is never longer than its group's longest member, so a lossy,
+// reordering, duplicating stream never spills a blob to the heap.
+TEST(Fec, BlobBlocksHoldTheLongestWirePacketAtEveryMtu) {
+  for (const std::size_t mtu : {std::size_t{96}, std::size_t{1400}}) {
+    for (const double rate : {0.01, 0.05, 0.2}) {
+      fault::FaultPlan plan(fault::FaultConfig{41, rate, fault::kNetKinds});
+      net::TransportConfig tc = fault::net_scenario_transport(/*fec=*/true);
+      tc.packetizer.mtu = mtu;
+      net::TransportLink link(tc, &plan, nullptr);
+      // Seeded access units sized around the MTU: small NALs aggregate,
+      // mid-sized ones ride alone, large ones fragment.
+      std::mt19937_64 rng(mtu * 1000 + static_cast<std::uint64_t>(rate * 100));
+      std::uint64_t tick = 0;
+      std::uint64_t nals = 0;
+      while (link.fec_stats().data_seen < 2500) {
+        std::vector<h264::NalUnit> au(1 + rng() % 3);
+        for (h264::NalUnit& nal : au) {
+          nal.type = h264::NalType::kSliceNonIdr;
+          nal.ref_idc = 2;
+          const std::size_t scale = 1 + rng() % 3;  // quarter, half, triple
+          const std::size_t size =
+              1 + rng() % (scale == 1 ? mtu / 4 : scale == 2 ? mtu : 3 * mtu);
+          nal.payload.resize(size);
+          for (std::uint8_t& b : nal.payload) {
+            b = static_cast<std::uint8_t>(rng());
+          }
+        }
+        nals += au.size();
+        link.send(au, static_cast<std::uint32_t>(tick), 0, tick);
+        link.receive(tick++);
+      }
+      for (int extra = 0; extra < 64 && !link.idle(); ++extra) {
+        link.receive(tick++);
+      }
+      const net::FecStats& fs = link.fec_stats();
+      EXPECT_EQ(fs.block_bytes, net::kWireHeaderBytes + mtu)
+          << "mtu " << mtu << " rate " << rate;
+      EXPECT_EQ(fs.blob_heap_fallbacks, 0u)
+          << "mtu " << mtu << " rate " << rate;
+      EXPECT_GT(link.channel_stats().dropped_data, 0u)
+          << "mtu " << mtu << " rate " << rate;
+      EXPECT_GT(fs.packets_recovered, 0u)
+          << "mtu " << mtu << " rate " << rate;
+      EXPECT_GT(link.stats().nals_received, nals / 2)
+          << "mtu " << mtu << " rate " << rate;
+    }
+  }
+}
+
+// A receiver caches whatever the network delivers: a hand-built packet
+// longer than the bound falls back to a heap blob, still serves as a
+// survivor, and is itself recovered bit-exactly.
+TEST(Fec, OversizeBlobFallsBackToHeapAndRecoversBitExactly) {
+  constexpr std::size_t kMtu = 96;
+  const net::FecConfig fc{true, 4};
+  net::FecEncoder enc(fc);
+  std::vector<net::MediaPacket> sent;
+  std::vector<net::MediaPacket> parities;
+  for (std::uint16_t s = 0; s < 8; ++s) {
+    net::MediaPacket p = mk_packet(s);
+    // Seq 1 (a survivor of group 0) and seq 6 (the loss in group 1)
+    // run past the 96-byte MTU.
+    if (s == 1 || s == 6) p.payload.resize(kMtu + 40 + s, 0x5A);
+    sent.push_back(p);
+    if (auto parity = enc.add(p)) parities.push_back(std::move(*parity));
+  }
+  ASSERT_EQ(parities.size(), 2u);
+
+  net::FecRecovery rec(fc, net::kWireHeaderBytes + kMtu);
+  for (const auto& p : sent) {
+    if (p.seq != 2 && p.seq != 6) rec.add_data(p);
+  }
+  EXPECT_EQ(rec.stats().blob_heap_fallbacks, 1u);  // seq 1
+  for (const auto& parity : parities) rec.add_parity(parity);
+  const auto rebuilt = rec.recover();
+  ASSERT_EQ(rebuilt.size(), 2u);
+  EXPECT_EQ(rebuilt[0], sent[2]);
+  EXPECT_EQ(rebuilt[1], sent[6]);  // header fields and payload bit-exact
+  EXPECT_EQ(rec.stats().packets_recovered, 2u);
+  EXPECT_EQ(rec.stats().block_bytes, net::kWireHeaderBytes + kMtu);
+  // Seq 6's rebuilt blob is re-registered through the fallback too.
+  EXPECT_EQ(rec.stats().blob_heap_fallbacks, 2u);
 }
 
 // ------------------------------------------------------------- channel

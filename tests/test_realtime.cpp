@@ -7,11 +7,14 @@
 #include <cstring>
 #include <numeric>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "affect/realtime.hpp"
 #include "affect/speech_synth.hpp"
 #include "nn/model.hpp"
+#include "obs/alloc_hooks.hpp"
 #include "obs/metrics.hpp"
 
 namespace affect = affectsys::affect;
@@ -250,6 +253,157 @@ TEST_F(PipelineFixture, SinkModeShedsNewestWindowBeyondMaxInflight) {
     t += 0.1;
   }
   EXPECT_GT(pending_t.size(), before);
+}
+
+// ------------------------------------------------ capture buffer bound
+
+namespace {
+
+/// The capture as first written: append each chunk, then trim to the
+/// last window.  It keeps the pipeline's gap rule, deadline clock and
+/// VAD gate, so its windows, gate decisions and counters are the oracle
+/// for trimming before the append.
+struct InsertThenTrimCapture {
+  explicit InsertThenTrimCapture(const affect::RealtimeConfig& c)
+      : cfg(c),
+        vad(c.vad),
+        window_len(static_cast<std::size_t>(c.window_s * c.sample_rate_hz)) {}
+
+  void push(double t_s, std::span<const double> chunk) {
+    if (cfg.gap_tolerance_s > 0.0 && !buffer.empty() &&
+        t_s > buffer_end_t + cfg.gap_tolerance_s) {
+      buffer.clear();
+      clock_started = false;
+      ++stats.gap_resyncs;
+    }
+    stats.samples_in += chunk.size();
+    buffer.insert(buffer.end(), chunk.begin(), chunk.end());
+    buffer_end_t = t_s + static_cast<double>(chunk.size()) / cfg.sample_rate_hz;
+    if (buffer.size() > window_len) {
+      buffer.erase(buffer.begin(),
+                   buffer.end() - static_cast<long>(window_len));
+    }
+    while (buffer.size() >= window_len && buffer_end_t >= next_window_t) {
+      if (!clock_started) {
+        clock_started = true;
+        next_window_t = buffer_end_t;
+      }
+      next_window_t += cfg.window_stride_s;
+      ++stats.windows_considered;
+      const std::span<const double> w{
+          buffer.data() + buffer.size() - window_len, window_len};
+      if (vad.speech_fraction(w) < cfg.min_speech_fraction) continue;
+      ++stats.windows_classified;
+      windows.emplace_back(buffer_end_t,
+                           std::vector<double>(w.begin(), w.end()));
+    }
+  }
+
+  affect::RealtimeConfig cfg;
+  affect::VoiceActivityDetector vad;
+  std::size_t window_len;
+  std::vector<double> buffer;
+  double buffer_end_t = 0.0;
+  double next_window_t = 0.0;
+  bool clock_started = false;
+  affect::RealtimeStats stats;
+  std::vector<std::pair<double, std::vector<double>>> windows;
+};
+
+}  // namespace
+
+// The capture reserves exactly one window and never grows past it,
+// whatever the chunk size: chunks below, at and above a window, and a
+// capture gap, deliver the same windows (bit for bit), gate decisions
+// and counters as appending first and trimming after.
+TEST_F(PipelineFixture, CaptureHoldsOneWindowAndMatchesInsertThenTrim) {
+  affect::RealtimeConfig cfg;
+  affect::SpeechSynthesizer synth(23);
+  std::vector<double> audio;
+  for (int u = 0; u < 6; ++u) {
+    const auto utt = synth.synthesize(
+        u % 2 ? affect::Emotion::kCalm : affect::Emotion::kAngry, 50 + u, 1.0,
+        cfg.sample_rate_hz, 0.1);
+    audio.insert(audio.end(), utt.samples.begin(), utt.samples.end());
+    audio.insert(audio.end(), 6000, 0.0);
+  }
+  // (chunk samples, seconds of capture gap before it)
+  std::vector<std::pair<std::size_t, double>> schedule;
+  for (int i = 0; i < 12; ++i) schedule.emplace_back(160, 0.0);
+  for (int i = 0; i < 8; ++i) schedule.emplace_back(1600, 0.0);
+  schedule.emplace_back(16000, 0.0);
+  schedule.emplace_back(20000, 0.0);
+  for (int i = 0; i < 4; ++i) schedule.emplace_back(1600, 0.0);
+  schedule.emplace_back(1600, 2.0);  // past gap_tolerance_s: a resync
+  for (int i = 0; i < 20; ++i) schedule.emplace_back(160, 0.0);
+  schedule.emplace_back(20000, 0.0);
+  for (int i = 0; i < 12; ++i) schedule.emplace_back(1600, 0.0);
+  schedule.emplace_back(16000, 0.0);
+  for (int i = 0; i < 6; ++i) schedule.emplace_back(1600, 0.0);
+
+  // The chunk vector is sized before any measured push.
+  std::vector<double> chunk;
+  chunk.reserve(20000);
+  const auto feed = [&](auto&& push) {
+    double t = 0.0;
+    std::size_t off = 0;
+    for (const auto& [n, gap_s] : schedule) {
+      t += gap_s;
+      chunk.resize(n);
+      for (double& x : chunk) x = audio[off++ % audio.size()];
+      push(t, std::span<const double>(chunk));
+      t += static_cast<double>(n) / cfg.sample_rate_hz;
+    }
+  };
+
+  InsertThenTrimCapture ref(cfg);
+  feed([&](double t, std::span<const double> c) { ref.push(t, c); });
+  ASSERT_EQ(ref.stats.gap_resyncs, 1u);
+  ASSERT_GT(ref.windows.size(), 4u);
+  ASSERT_LT(ref.windows.size(), ref.stats.windows_considered);
+
+  // A first pipeline over the same schedule registers the metric series
+  // and sizes this thread's VAD scratch, which every later pipeline
+  // shares; the second one's pushes then allocate only its capture.
+  {
+    affect::RealtimePipeline warm(classifier(), cfg);
+    warm.set_window_sink([&](double t_end, std::span<const double>) {
+      warm.apply_label(t_end, affect::Emotion::kAngry);
+    });
+    feed([&](double t, std::span<const double> c) { warm.push_audio(t, c); });
+  }
+  affect::RealtimePipeline pipe(classifier(), cfg);
+  std::size_t delivered = 0;
+  std::size_t mismatches = 0;
+  pipe.set_window_sink([&](double t_end, std::span<const double> w) {
+    if (delivered < ref.windows.size()) {
+      const auto& [ref_t, ref_w] = ref.windows[delivered];
+      if (t_end != ref_t || w.size() != ref_w.size() ||
+          std::memcmp(w.data(), ref_w.data(), w.size() * sizeof(double)) !=
+              0) {
+        ++mismatches;
+      }
+    }
+    ++delivered;
+    pipe.apply_label(t_end, affect::Emotion::kAngry);
+  });
+  const std::uint64_t before = affectsys::obs::alloc_bytes();
+  feed([&](double t, std::span<const double> c) { pipe.push_audio(t, c); });
+  const std::uint64_t bytes = affectsys::obs::alloc_bytes() - before;
+
+  EXPECT_EQ(delivered, ref.windows.size());
+  EXPECT_EQ(mismatches, 0u);
+  const affect::RealtimeStats& got = pipe.stats();
+  EXPECT_EQ(got.samples_in, ref.stats.samples_in);
+  EXPECT_EQ(got.windows_considered, ref.stats.windows_considered);
+  EXPECT_EQ(got.windows_classified, ref.stats.windows_classified);
+  EXPECT_EQ(got.windows_dropped, 0u);
+  EXPECT_EQ(got.gap_resyncs, ref.stats.gap_resyncs);
+  if (affectsys::obs::alloc_tracking_enabled()) {
+    EXPECT_LE(bytes, ref.window_len * sizeof(double))
+        << "capture allocated " << bytes << " bytes for a "
+        << ref.window_len << "-sample window";
+  }
 }
 
 // ---------------------------------------------------- feature row reuse

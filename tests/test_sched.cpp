@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -171,6 +173,28 @@ TEST(BufferPool, FreshBlocksCarveInAddressOrder) {
   EXPECT_EQ(pool.stats().heap_fallbacks, 1u);
   EXPECT_EQ(pool.stats().acquires, kBlocks + 1);  // one reuse above
   EXPECT_EQ(pool.stats().high_water, kBlocks);
+}
+
+// Block sizes need not be multiples of the alignment (the FEC blob
+// cache sizes blocks to header + MTU): the stride rounds up, so every
+// block's header and payload stay max_align_t-aligned.
+TEST(BufferPool, OddBlockSizesKeepEveryBlockAligned) {
+  for (const std::size_t block_size : {std::size_t{1}, std::size_t{113},
+                                       std::size_t{1416}, std::size_t{1417}}) {
+    core::BufferPool pool(core::BufferPoolConfig{block_size, 4});
+    std::vector<core::BufferRef> held;
+    for (int i = 0; i < 4; ++i) {
+      held.push_back(pool.acquire(block_size));
+      ASSERT_TRUE(held.back().pooled()) << block_size;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(held.back().data()) %
+                    alignof(std::max_align_t),
+                0u)
+          << "block size " << block_size << " block " << i;
+      std::memset(held.back().data(), 0xC3, block_size);
+    }
+    EXPECT_GE(static_cast<std::size_t>(held[1].data() - held[0].data()),
+              core::BufferBlock::payload_offset() + block_size);
+  }
 }
 
 TEST(BufferPool, ExhaustionAndOversizeFallBackToHeap) {

@@ -347,3 +347,38 @@ TEST(ServeAllocations, SteadyStateIsAllocationFree) {
       << "steady-state serve ticks allocated " << (after - before)
       << " times";
 }
+
+// ------------------------------------------------ per-session memory
+
+// What one fleet session asks of the heap from admission through its
+// first active period, in perfbench's idle_fleet shape: duty-cycled 8
+// ticks on and 248 off, no replay log, app manager on.  A warm-up
+// session's active period first sizes the server's rings and this
+// thread's scratch, which every later session shares.  The bound sits
+// between two readings: 187,202 bytes with a window-plus-chunk capture
+// (17,600 samples) and a per-session audio chunk, 161,514 with a
+// one-window capture and the chunk in per-thread scratch.  The
+// 128,000-byte capture is most of what remains.
+TEST(ServeAllocations, IdleFleetSessionHeapStaysUnderBound) {
+  if (!obs::alloc_tracking_enabled()) {
+    GTEST_SKIP() << "allocation hooks not compiled in";
+  }
+  core::set_global_threads(0);
+  serve::ServerConfig cfg;
+  cfg.session.duty_active_ticks = 8;
+  cfg.session.duty_idle_ticks = 248;
+  cfg.session.record_trace = false;
+  serve::SessionManager server(cfg, world().env());
+  server.create_session();
+  for (int i = 0; i < 8; ++i) server.tick();
+
+  const std::uint64_t before = obs::alloc_bytes();
+  const serve::SessionId id = server.create_session();
+  for (int i = 0; i < 8; ++i) server.tick();
+  const std::uint64_t bytes = obs::alloc_bytes() - before;
+  core::set_global_threads(core::default_thread_count());
+
+  EXPECT_EQ(server.report(id).stats.ticks, 8u);
+  EXPECT_LT(bytes, 174000u) << "a fleet session allocated " << bytes
+                            << " bytes through its first active period";
+}

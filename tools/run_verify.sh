@@ -73,15 +73,42 @@ pass_sanitize()  { run_pass build-asan sanitize tier1 -DAFFECTSYS_SANITIZE=ON; }
 # FFT oracle among them, hold in every build tree this script makes.
 pass_tsan()      { run_pass build-tsan tsan 'tsan|kernels' -DAFFECTSYS_SANITIZE=thread; }
 
+# Returns nonzero when a fresh in-run ratio (section.key of a bench's
+# JSON) falls more than 10% below the committed file's, or is missing.
+# Args: committed fresh section key description.
+soft_check_ratio() {
+  local committed="$1" fresh="$2" section="$3" key="$4" what="$5"
+  if [[ ! -f "$committed" ]]; then
+    echo "no committed $committed; skipping $section.$key check"
+    return
+  fi
+  python3 - "$committed" "$fresh" "$section" "$key" "$what" <<'PY'
+import json, sys
+committed, fresh = (json.load(open(p)) for p in sys.argv[1:3])
+section, key, what = sys.argv[3:6]
+c = committed.get(section, {}).get(key)
+f = fresh.get(section, {}).get(key)
+print(f"{section}.{key}: committed={c} fresh={f}")
+if c is None or f is None:
+    print(f"FAIL: {section}.{key} missing", file=sys.stderr)
+    sys.exit(1)
+if f < 0.9 * c:
+    print(f"FAIL: {what} fell >10% below committed {sys.argv[1]}",
+          file=sys.stderr)
+    sys.exit(1)
+PY
+}
+
 # Kernel pass: Release build (benchmarks must not time RelWithDebInfo
 # artifacts), the optimized-vs-reference proof suite (label "kernels"),
 # then bench_kernels regenerating BENCH_kernels.json.  If a committed
 # BENCH_kernels.json exists, two numbers are soft-checked against it:
 # the feature pipeline's and the deblocker's speedup must not fall more
-# than 10% below the committed one.  Each speedup times a kernel against
-# its reference in the same run, so it holds when other load on the host
-# slows both alike; absolute windows_per_sec and ns_per_frame move
-# 20-30% with that load and are only printed.  bench_kernels itself
+# than 10% below the committed one.  Each speedup is the median of
+# per-round ratios, a kernel against its reference a few milliseconds
+# apart in the same run, so it holds when other load on the host slows
+# both alike; absolute windows_per_sec and ns_per_frame move 20-30% with
+# that load and are only printed.  bench_kernels itself
 # exits nonzero, without writing the file, on a byte mismatch against a
 # kernel's reference or the golden decode digests; the pass then fails
 # with the first failure.
@@ -96,31 +123,15 @@ pass_kernels() {
     first_fail="bench_kernels exited with status $status"
     echo "FAIL: $first_fail" >&2
   fi
-  if [[ ! -f BENCH_kernels.json ]]; then
-    echo "no committed BENCH_kernels.json; skipping soft-checks"
-  elif [[ ! -f "$fresh" ]]; then
+  if [[ ! -f "$fresh" ]]; then
     echo "bench_kernels wrote no $fresh; skipping soft-checks"
-  elif ! python3 - BENCH_kernels.json "$fresh" <<'PY'
-import json, sys
-committed, fresh = (json.load(open(p)) for p in sys.argv[1:])
-ok = True
-for kernel, rate in (("feature", "windows_per_sec"), ("deblock", "ns_per_frame")):
-    c = committed.get(kernel, {}).get("speedup")
-    f = fresh.get(kernel, {}).get("speedup")
-    print(f"{kernel}.speedup: committed={c} fresh={f} "
-          f"({rate} committed={committed.get(kernel, {}).get(rate)} "
-          f"fresh={fresh.get(kernel, {}).get(rate)})")
-    if c is None or f is None:
-        print(f"FAIL: {kernel}.speedup missing", file=sys.stderr)
-        ok = False
-    elif f < 0.9 * c:
-        print(f"FAIL: {kernel}.speedup fell >10% below committed "
-              "BENCH_kernels.json", file=sys.stderr)
-        ok = False
-sys.exit(0 if ok else 1)
-PY
-  then
-    first_fail=${first_fail:-"a kernel speedup fell >10%"}
+  else
+    local kernel
+    for kernel in feature deblock; do
+      soft_check_ratio BENCH_kernels.json "$fresh" "$kernel" speedup \
+        "the $kernel speedup" ||
+        first_fail=${first_fail:-"the $kernel speedup fell >10%"}
+    done
   fi
   if [[ -n "$first_fail" ]]; then
     echo "kernels pass failed: $first_fail" >&2
@@ -169,7 +180,9 @@ pass_serve() {
 # sessions, Release for the full plan sweep at speed — then bench_fault,
 # which hard-fails on rate-0 identity loss, replay divergence, or >2%
 # clean-path overhead.  The committed BENCH_fault.json is soft-checked:
-# faulted-decode throughput must stay within 10%.
+# faulted-decode throughput relative to clean strict decodes timed
+# alongside it (faulted.vs_clean, an in-run ratio that host load moves
+# far less than an absolute rate) must stay within 10%.
 pass_fault() {
   run_pass build-asan fault-asan fault -DAFFECTSYS_SANITIZE=ON
   run_pass build-tsan fault-tsan fault -DAFFECTSYS_SANITIZE=thread
@@ -177,18 +190,8 @@ pass_fault() {
   echo "=== [fault] bench_fault ==="
   local fresh="build-release/BENCH_fault.json"
   ./build-release/bench/bench_fault "$fresh"
-  if [[ -f BENCH_fault.json ]]; then
-    local committed_mbs fresh_mbs
-    committed_mbs=$(grep -o '"mb_per_sec": [0-9.]*' BENCH_fault.json | head -1 | awk '{print $2}')
-    fresh_mbs=$(grep -o '"mb_per_sec": [0-9.]*' "$fresh" | head -1 | awk '{print $2}')
-    echo "faulted mb_per_sec: committed=$committed_mbs fresh=$fresh_mbs"
-    if ! awk -v f="$fresh_mbs" -v c="$committed_mbs" 'BEGIN { exit !(f >= 0.9 * c) }'; then
-      echo "FAIL: faulted-decode throughput regressed >10% vs committed BENCH_fault.json" >&2
-      exit 1
-    fi
-  else
-    echo "no committed BENCH_fault.json; skipping throughput check"
-  fi
+  soft_check_ratio BENCH_fault.json "$fresh" faulted vs_clean \
+    "faulted-decode throughput against clean decode" || exit 1
 }
 
 # Net pass: the media-transport suite (label "net": packetizer, jitter
@@ -197,25 +200,16 @@ pass_fault() {
 # sweep at speed, then bench_net, which hard-fails on 0-loss digest
 # divergence, replay divergence, or >5% serve-tick transport overhead.
 # The committed BENCH_net.json is soft-checked: packetize throughput
-# must stay within 10%.
+# relative to a plain copy of the same payloads timed alongside it
+# (framing.packetize_vs_copy) must stay within 10%.
 pass_net() {
   run_pass build-asan net-asan net -DAFFECTSYS_SANITIZE=ON
   run_pass build-release net-release net -DCMAKE_BUILD_TYPE=Release
   echo "=== [net] bench_net ==="
   local fresh="build-release/BENCH_net.json"
   ./build-release/bench/bench_net "$fresh"
-  if [[ -f BENCH_net.json ]]; then
-    local committed_mbs fresh_mbs
-    committed_mbs=$(grep -o '"packetize_mb_per_sec": [0-9.]*' BENCH_net.json | awk '{print $2}')
-    fresh_mbs=$(grep -o '"packetize_mb_per_sec": [0-9.]*' "$fresh" | awk '{print $2}')
-    echo "packetize_mb_per_sec: committed=$committed_mbs fresh=$fresh_mbs"
-    if ! awk -v f="$fresh_mbs" -v c="$committed_mbs" 'BEGIN { exit !(f >= 0.9 * c) }'; then
-      echo "FAIL: packetize throughput regressed >10% vs committed BENCH_net.json" >&2
-      exit 1
-    fi
-  else
-    echo "no committed BENCH_net.json; skipping throughput check"
-  fi
+  soft_check_ratio BENCH_net.json "$fresh" framing packetize_vs_copy \
+    "packetize throughput against a payload copy" || exit 1
 }
 
 # Simulcast pass: the simulcast suite (label "simulcast": aligned-layer
