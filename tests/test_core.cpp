@@ -2,6 +2,9 @@
 // emotional kill policy, manager experiment and the system controller.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/affect_table.hpp"
 #include "core/controller.hpp"
 #include "core/emotional_policy.hpp"
@@ -163,6 +166,63 @@ TEST(ManagerExperiment, OnlineLearnedTableAlsoSaves) {
   // A table learned from finite warm-up observation should still beat the
   // FIFO baseline (possibly by less than the analytic oracle).
   EXPECT_GT(res.memory_saving(), 0.0);
+}
+
+// Fig 10's baseline and proposed runs at the default config and at
+// monkey seed 5, pinned exactly: launch and kill counts and loaded
+// bytes, loading time and flash energy bit for bit, and the count of
+// every trace event type (the total pins that no other type occurs).
+TEST(ManagerExperiment, DefaultRunsArePinned) {
+  struct Pin {
+    std::uint64_t cold, warm, kills, loaded_bytes;
+    double loading_time_s, flash_energy_nj;
+    std::size_t emotion_changes, events;
+  };
+  const auto check = [](const android::LoadingMetrics& m,
+                        const android::Tracer& trace, const Pin& pin,
+                        const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(m.cold_starts, pin.cold);
+    EXPECT_EQ(m.warm_starts, pin.warm);
+    EXPECT_EQ(m.kills, pin.kills);
+    EXPECT_EQ(m.memory_loaded_bytes, pin.loaded_bytes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.loading_time_s),
+              std::bit_cast<std::uint64_t>(pin.loading_time_s));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.flash_energy_nj),
+              std::bit_cast<std::uint64_t>(pin.flash_energy_nj));
+    using T = android::TraceEventType;
+    EXPECT_EQ(trace.count(T::kColdStart), pin.cold);
+    EXPECT_EQ(trace.count(T::kWarmStart), pin.warm);
+    EXPECT_EQ(trace.count(T::kKill), pin.kills);
+    EXPECT_EQ(trace.count(T::kForeground), pin.cold + pin.warm);
+    EXPECT_EQ(trace.count(T::kEmotionChange), pin.emotion_changes);
+    EXPECT_EQ(trace.events().size(), pin.events);
+  };
+  struct Case {
+    unsigned monkey_seed;
+    Pin baseline, proposed;
+  };
+  const core::ManagerExperimentConfig defaults;
+  const Case cases[] = {
+      {defaults.monkey.seed,
+       {25, 58, 16, 8837438483ull, 0x1.678257719bf1bp+4, 0x1.d061bdbdd8p+28,
+        0, 182},
+       {20, 63, 10, 6567930650ull, 0x1.109dfb8abb92p+4, 0x1.56e50a3cb8p+28,
+        2, 178}},
+      {5,
+       {25, 67, 15, 8270141177ull, 0x1.4be8c0533bc3p+4, 0x1.a503d0dp+28,
+        0, 199},
+       {22, 70, 12, 6726383730ull, 0x1.13db981a8e116p+4, 0x1.520d1667b8p+28,
+        2, 198}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.monkey_seed);
+    core::ManagerExperimentConfig cfg;
+    cfg.monkey.seed = c.monkey_seed;
+    const auto res = core::run_manager_experiment(cfg);
+    check(res.baseline, res.baseline_trace, c.baseline, "baseline");
+    check(res.proposed, res.proposed_trace, c.proposed, "proposed");
+  }
 }
 
 TEST(ManagerExperiment, TracesRecordEmotionChange) {
