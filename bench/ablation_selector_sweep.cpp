@@ -18,7 +18,7 @@ int main() {
   // Prototype clip identical to the playback system's defaults.
   h264::VideoConfig vc{64, 64, 48, 1.2, 0.6, 2.5, 77};
   const auto video = h264::generate_mixed_video(vc, 0.25);
-  h264::EncoderConfig ec{64, 64, 24, 12, 2, 4, true};
+  h264::EncoderConfig ec{64, 64, 24, 12, 2, 4};
   h264::Encoder enc(ec);
   const auto stream = enc.encode_annexb(video);
 

@@ -47,7 +47,7 @@ double seconds_since(Clock::time_point t0) {
 std::vector<std::uint8_t> make_stream() {
   h264::VideoConfig vc{64, 64, 24, 1.2, 0.6, 2.5, 77};
   const auto video = h264::generate_mixed_video(vc, 0.25);
-  h264::Encoder enc(h264::EncoderConfig{64, 64, 24, 12, 2, 4, true});
+  h264::Encoder enc(h264::EncoderConfig{64, 64, 24, 12, 2, 4});
   return enc.encode_annexb(video);
 }
 

@@ -16,7 +16,11 @@
 //      The two sessions advance tick by tick side by side, alternating
 //      which goes first, and the gate compares the summed tick times:
 //      host load drifts over seconds, so both sides of every tick see
-//      the same load within a millisecond of each other.
+//      the same load within a millisecond of each other.  A preemption
+//      of several milliseconds lands on one side only, so a tick pair
+//      with either side over 4x that side's median for the same tick
+//      (every rep replays one script) is dropped from both sums, worst
+//      first, at most 1% of the pairs.
 //   4. Does everything replay?  Each net scenario runs twice and the
 //      bench fails hard on any divergence.
 //
@@ -31,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -115,30 +120,86 @@ double timed_tick(serve::Session& s, std::uint64_t t) {
   return dt.count();
 }
 
-/// Seconds each side spent in its session ticks.
-struct TickTotals {
+/// Seconds one tick took on each side.
+struct TickPair {
   double base = 0.0;
   double piped = 0.0;
 };
 
 /// One rep: fresh sessions under `base` and `piped` stepped through
-/// kServeTicks ticks side by side, alternating which ticks first.  Adds
-/// each side's tick seconds to `totals` and returns their decode digests.
+/// kServeTicks ticks side by side, alternating which ticks first.
+/// Appends each tick's pair of times to `pairs` and returns the two
+/// decode digests.
 std::pair<std::uint64_t, std::uint64_t> serve_rep(
     const serve::SessionConfig& base, const serve::SessionConfig& piped,
-    const serve::SessionEnv& env, TickTotals& totals) {
+    const serve::SessionEnv& env, std::vector<TickPair>& pairs) {
   serve::Session b(1, base, env, /*inline_inference=*/true);
   serve::Session p(1, piped, env, /*inline_inference=*/true);
   for (std::uint64_t t = 0; t < kServeTicks; ++t) {
+    TickPair pair;
     if (t % 2 == 0) {
-      totals.base += timed_tick(b, t);
-      totals.piped += timed_tick(p, t);
+      pair.base = timed_tick(b, t);
+      pair.piped = timed_tick(p, t);
     } else {
-      totals.piped += timed_tick(p, t);
-      totals.base += timed_tick(b, t);
+      pair.piped = timed_tick(p, t);
+      pair.base = timed_tick(b, t);
     }
+    pairs.push_back(pair);
   }
   return {b.report().decode_digest, p.report().decode_digest};
+}
+
+double median_of(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Seconds each side spent in its session ticks, over the kept pairs.
+struct TickTotals {
+  double base = 0.0;
+  double piped = 0.0;
+  std::size_t dropped = 0;  ///< pairs left out as preempted
+};
+
+/// Sums both sides over every tick pair except those a preemption hit.
+/// Every rep replays the same script, so tick t does the same work in
+/// each rep: a pair is a candidate when its base or transport tick ran
+/// over 4x the median of that side's tick t across the reps.  Candidates
+/// go worst first (by the larger of the two ratios), and at most 1% of
+/// the pairs go, so a slowdown that stretches many ticks stays in the
+/// sums.
+TickTotals sum_unpreempted(const std::vector<TickPair>& pairs) {
+  std::vector<double> base_med(kServeTicks), piped_med(kServeTicks);
+  std::vector<double> base, piped;
+  for (std::size_t t = 0; t < kServeTicks; ++t) {
+    base.clear();
+    piped.clear();
+    for (std::size_t i = t; i < pairs.size(); i += kServeTicks) {
+      base.push_back(pairs[i].base);
+      piped.push_back(pairs[i].piped);
+    }
+    base_med[t] = median_of(base);
+    piped_med[t] = median_of(piped);
+  }
+  std::vector<std::pair<double, std::size_t>> outliers;  // (ratio, index)
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const std::size_t t = i % kServeTicks;
+    const double r = std::max(pairs[i].base / base_med[t],
+                              pairs[i].piped / piped_med[t]);
+    if (r > 4.0) outliers.emplace_back(r, i);
+  }
+  std::sort(outliers.begin(), outliers.end(), std::greater<>());
+  outliers.resize(std::min(outliers.size(), pairs.size() / 100));
+  std::vector<bool> drop(pairs.size(), false);
+  for (const auto& o : outliers) drop[o.second] = true;
+  TickTotals totals;
+  totals.dropped = outliers.size();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (drop[i]) continue;
+    totals.base += pairs[i].base;
+    totals.piped += pairs[i].piped;
+  }
+  return totals;
 }
 
 }  // namespace
@@ -232,15 +293,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
   const double mb = payload_bytes * kFrameIters / (1024.0 * 1024.0);
   const double pack_mbs = mb / pack_s;
   const double depack_mbs = mb / depack_s;
   const double copy_mbs = mb / copy_s;
-  const double pack_ratio = median(pack_vs_copy);
+  const double pack_ratio = median_of(pack_vs_copy);
   if (copied == 0) std::printf("(unlikely)\n");
   std::printf("framing:      packetize %6.2f MB/s  depacketize %6.2f MB/s  "
               "copy %6.2f MB/s  packetize/copy %.3f (%llu packets/clip)\n",
@@ -280,20 +337,23 @@ int main(int argc, char** argv) {
   base.seed = 5;
   serve::SessionConfig piped = base;
   piped.transport = fault::net_scenario_transport(true);
-  TickTotals warm;  // the first rep doubles as the warmup
-  const auto [base_digest, piped_digest] = serve_rep(base, piped, env, warm);
+  std::vector<TickPair> pairs;  // the first rep doubles as the warmup
+  const auto [base_digest, piped_digest] = serve_rep(base, piped, env, pairs);
   if (base_digest != piped_digest) {
     std::fprintf(stderr, "FAIL: 0-loss transport decode digest diverged\n");
     return 1;
   }
-  TickTotals totals;
-  for (int rep = 0; rep < kTickReps; ++rep) serve_rep(base, piped, env, totals);
-  const double ticks = static_cast<double>(kServeTicks) * kTickReps;
+  pairs.clear();
+  pairs.reserve(kServeTicks * kTickReps);
+  for (int rep = 0; rep < kTickReps; ++rep) serve_rep(base, piped, env, pairs);
+  const TickTotals totals = sum_unpreempted(pairs);
+  const double ticks = static_cast<double>(pairs.size() - totals.dropped);
   const double tick_overhead_pct = (totals.piped / totals.base - 1.0) * 100.0;
   std::printf("serve tick:   in-process %.3f ms  transport %.3f ms  "
-              "overhead %+.2f%% (%.0f interleaved ticks a side)\n",
+              "overhead %+.2f%% (%.0f interleaved ticks a side, %zu "
+              "preempted pairs dropped)\n",
               totals.base * 1e3 / ticks, totals.piped * 1e3 / ticks,
-              tick_overhead_pct, ticks);
+              tick_overhead_pct, ticks, totals.dropped);
 
   // ---- 4. Replay identity -------------------------------------------
   bool replay_ok = true;
@@ -332,6 +392,7 @@ int main(int argc, char** argv) {
   w.key("in_process_ms_per_tick").value(totals.base * 1e3 / ticks);
   w.key("transport_ms_per_tick").value(totals.piped * 1e3 / ticks);
   w.key("ticks_per_side").value(static_cast<std::uint64_t>(ticks));
+  w.key("pairs_dropped").value(static_cast<std::uint64_t>(totals.dropped));
   w.key("serve_tick_overhead_pct").value(tick_overhead_pct);
   w.end_object();
   w.key("replay_identical").value(replay_ok);

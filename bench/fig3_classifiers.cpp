@@ -54,7 +54,7 @@ CorpusResult run_corpus(const affect::CorpusProfile& prof,
     const auto ev = nn::evaluate(model, test_set, corpus.num_classes());
     res.accuracy_fp32[kind] = ev.accuracy;
     if (kind == nn::ModelKind::kLstm) res.lstm_eval = ev;
-    nn::quantize_model_inplace(model, nn::QuantGranularity::kPerTensor);
+    nn::quantize_model_inplace(model);
     res.accuracy_int8[kind] =
         nn::evaluate(model, test_set, corpus.num_classes()).accuracy;
     std::fprintf(stderr, "[fig3]   %-4s acc=%.3f acc8=%.3f\n",
@@ -136,8 +136,7 @@ int main() {
     std::mt19937 rng(1);
     nn::Sequential model = nn::build_model(k, spec, rng);
     const std::size_t fp32 = model.weight_bytes(4);
-    const std::size_t int8 =
-        nn::quantize_model_inplace(model, nn::QuantGranularity::kPerTensor);
+    const std::size_t int8 = nn::quantize_model_inplace(model);
     std::printf("%-6s %12zu %10zuKB %10zuKB\n", nn::model_kind_name(k),
                 model.param_count(), fp32 / 1024, int8 / 1024);
   }

@@ -28,7 +28,7 @@ const std::vector<std::uint8_t>& encoded_stream() {
   static const std::vector<std::uint8_t> stream = [] {
     h264::VideoConfig vc{64, 64, 24, 1.2, 0.6, 2.5, 77};
     const auto video = h264::generate_mixed_video(vc, 0.25);
-    h264::EncoderConfig ec{64, 64, 24, 12, 2, 4, true};
+    h264::EncoderConfig ec{64, 64, 24, 12, 2, 4};
     h264::Encoder enc(ec);
     return enc.encode_annexb(video);
   }();
@@ -41,7 +41,7 @@ static void BM_EncodeFrame(benchmark::State& state) {
   h264::VideoConfig vc{64, 64, 12, 1.2, 0.6, 2.5, 77};
   const auto video = h264::generate_test_video(vc);
   for (auto _ : state) {
-    h264::EncoderConfig ec{64, 64, 24, 12, 2, 4, true};
+    h264::EncoderConfig ec{64, 64, 24, 12, 2, 4};
     h264::Encoder enc(ec);
     benchmark::DoNotOptimize(enc.encode_annexb(video));
   }
@@ -130,8 +130,7 @@ static void BM_QuantizeModel(benchmark::State& state) {
     std::mt19937 rng(1);
     nn::Sequential model = nn::build_model(nn::ModelKind::kLstm, spec, rng);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        nn::quantize_model_inplace(model, nn::QuantGranularity::kPerTensor));
+    benchmark::DoNotOptimize(nn::quantize_model_inplace(model));
   }
 }
 BENCHMARK(BM_QuantizeModel)->Unit(benchmark::kMillisecond);

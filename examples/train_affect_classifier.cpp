@@ -67,8 +67,7 @@ int main(int argc, char** argv) {
   std::printf("saved float32 model to %s (%zu KB)\n", out_path,
               model.weight_bytes(4) / 1024);
 
-  const std::size_t q_bytes =
-      nn::quantize_model_inplace(model, nn::QuantGranularity::kPerTensor);
+  const std::size_t q_bytes = nn::quantize_model_inplace(model);
   const auto ev8 = nn::evaluate(model, test_set, corpus.num_classes());
   const std::string q_path = std::string(out_path) + ".int8";
   {

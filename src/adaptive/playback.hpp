@@ -27,7 +27,7 @@ struct PlaybackConfig {
   /// S_th = 140: busy scenes produce B NALs just above the threshold,
   /// quiet scenes just below it.
   h264::VideoConfig video{64, 64, 48, 1.2, 0.6, 2.5, 77};
-  h264::EncoderConfig encoder{64, 64, 24, 12, 2, 4, true};
+  h264::EncoderConfig encoder{64, 64, 24, 12, 2, 4};
   double fps = 25.0;                  ///< playback rate
   std::size_t s_th = 140;             ///< Input Selector threshold (bytes)
   unsigned f = 1;                     ///< Input Selector deletion frequency

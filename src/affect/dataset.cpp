@@ -37,7 +37,6 @@ FeatureConfig default_feature_config() {
   fc.mfcc.num_filters = 26;
   fc.mfcc.num_coeffs = 13;
   fc.timesteps = 64;
-  fc.standardize = true;
   return fc;
 }
 

@@ -118,7 +118,7 @@ void FeatureExtractor::standardize(const nn::Matrix& raw, std::size_t rows,
   if (out.rows() != cfg_.timesteps || out.cols() != dim) {
     out = nn::Matrix(cfg_.timesteps, dim);
   }
-  if (!cfg_.standardize || T <= 1) {
+  if (T <= 1) {
     if (&out != &raw) {
       std::copy_n(raw.flat().begin(), T * dim, out.flat().begin());
     }
@@ -223,7 +223,7 @@ nn::Matrix FeatureExtractor::extract_ref(
     out(t, c++) = static_cast<float>(acc / static_cast<double>(nbins));
   }
 
-  if (cfg_.standardize && T > 1) {
+  if (T > 1) {
     for (std::size_t c = 0; c < dim; ++c) {
       double mean = 0.0;
       for (std::size_t t = 0; t < T; ++t) mean += out(t, c);

@@ -25,7 +25,6 @@ namespace affectsys::affect {
 struct FeatureConfig {
   signal::MfccConfig mfcc;
   std::size_t timesteps = 64;  ///< sequences are cropped/padded to this
-  bool standardize = true;     ///< per-feature z-score over the utterance
 };
 
 /// Output of extract_into(): the timesteps x feature_dim matrix it

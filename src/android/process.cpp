@@ -42,20 +42,8 @@ std::size_t ProcessManager::killable_count() const {
 
 std::uint64_t ProcessManager::used_ram() const {
   std::uint64_t total = cfg_.reserved_bytes;
-  for (const auto& [id, st] : running_) {
-    const std::uint64_t full = app_info(id).memory_bytes;
-    total += st.compressed
-                 ? static_cast<std::uint64_t>(
-                       static_cast<double>(full) * cfg_.compression_ratio)
-                 : full;
-  }
+  for (const auto& [id, st] : running_) total += app_info(id).memory_bytes;
   return total;
-}
-
-std::size_t ProcessManager::compressed_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, st] : running_) n += st.compressed ? 1 : 0;
-  return n;
 }
 
 void ProcessManager::kill(AppId app, double time_s, std::string_view reason) {
@@ -75,13 +63,11 @@ void ProcessManager::make_room(std::uint64_t need_bytes, double time_s,
   auto ram_pressure = [&] {
     return used_ram() + need_bytes > cfg_.ram_bytes;
   };
-  auto pick_victim =
-      [&](bool uncompressed_only) -> std::optional<AppId> {
+  auto pick_victim = [&]() -> std::optional<AppId> {
     std::vector<VictimCandidate> candidates;
     for (const auto& [id, st] : running_) {
       const App& a = app_info(id);
       if (a.protected_from_kill || st.foreground || id == incoming) continue;
-      if (uncompressed_only && st.compressed) continue;
       candidates.push_back({id, st.loaded_at_s, st.last_used_s,
                             a.memory_bytes, st.launch_count});
     }
@@ -99,23 +85,7 @@ void ProcessManager::make_room(std::uint64_t need_bytes, double time_s,
   };
 
   while (limit_pressure() || ram_pressure()) {
-    // zram path: pure RAM pressure compresses before killing.
-    if (cfg_.compress_instead_of_kill && !limit_pressure()) {
-      if (const auto victim = pick_victim(/*uncompressed_only=*/true)) {
-        ProcessState& st = running_[*victim];
-        st.compressed = true;
-        ++metrics_.compressions;
-        metrics_.compression_time_s +=
-            static_cast<double>(app_info(*victim).memory_bytes) /
-            (cfg_.compress_mbps * 1e6);
-        if (tracer_) {
-          tracer_->record(time_s, TraceEventType::kCompress, *victim);
-        }
-        continue;
-      }
-      // Everything killable is already compressed: fall through to kill.
-    }
-    const auto victim = pick_victim(/*uncompressed_only=*/false);
+    const auto victim = pick_victim();
     if (!victim) return;  // only protected processes remain
     kill(*victim, time_s, "pressure");
   }
@@ -133,22 +103,9 @@ LoadCost ProcessManager::launch(AppId app, double time_s) {
 
   LoadCost cost;
   if (auto it = running_.find(app); it != running_.end()) {
-    // Warm start; a compressed resident set must be decompressed first.
+    // Warm start: the app is still resident.
     ++metrics_.warm_starts;
     AFFECTSYS_COUNT("android.warm_starts", 1);
-    if (it->second.compressed) {
-      it->second.compressed = false;
-      ++metrics_.decompressions;
-      if (tracer_) tracer_->record(time_s, TraceEventType::kDecompress, app);
-      const double t_decompress =
-          static_cast<double>(info.memory_bytes) /
-          (cfg_.decompress_mbps * 1e6);
-      metrics_.compression_time_s += t_decompress;
-      metrics_.loading_time_s += t_decompress;  // user-visible stall
-      cost.time_s += t_decompress;
-      // Decompressing grows the footprint back: make room if needed.
-      make_room(0, time_s, app);
-    }
     it->second.last_used_s = time_s;
     it->second.launch_count = lifetime_launches_[app];
     it->second.foreground = true;
@@ -171,27 +128,6 @@ LoadCost ProcessManager::launch(AppId app, double time_s) {
   foreground_ = app;
   if (tracer_) tracer_->record(time_s, TraceEventType::kForeground, app);
   return cost;
-}
-
-bool ProcessManager::preload(AppId app, double time_s) {
-  const App& info = app_info(app);
-  if (running_.contains(app)) return false;
-  // Prefetch must be free of side effects on resident apps: only proceed
-  // when both budgets have headroom without any eviction.
-  if (killable_count() + 1 > cfg_.process_limit ||
-      used_ram() + info.memory_bytes > cfg_.ram_bytes) {
-    return false;
-  }
-  const LoadCost cost = flash_.read(info.image_bytes);
-  ++metrics_.prefetches;
-  metrics_.prefetch_bytes += info.image_bytes + info.memory_bytes;
-  metrics_.prefetch_time_s += cost.time_s + info.init_time_s;
-  metrics_.prefetch_energy_nj += cost.energy_nj;
-  running_[app] = {app, time_s, time_s, lifetime_launches_[app], false};
-  if (tracer_) {
-    tracer_->record(time_s, TraceEventType::kColdStart, app, "prefetch");
-  }
-  return true;
 }
 
 bool ProcessManager::invariants_hold() const {

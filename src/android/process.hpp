@@ -26,10 +26,6 @@ struct ProcessState {
   double last_used_s = 0.0;
   std::size_t launch_count = 0;
   bool foreground = false;
-  /// Resident set swapped into compressed RAM (zram-style): the process
-  /// survives at a fraction of its footprint but pays a decompress
-  /// latency on its next foreground switch.
-  bool compressed = false;
 };
 
 /// Aggregate loading metrics — the Fig 10 quantities.
@@ -41,19 +37,8 @@ struct LoadingMetrics {
   /// summed over cold starts.
   std::uint64_t memory_loaded_bytes = 0;
   /// "Total App loading time": flash read + fixed init, over cold starts.
-  /// This is the user-visible wait; background prefetch work is tracked
-  /// separately below.
   double loading_time_s = 0.0;
   double flash_energy_nj = 0.0;
-  // Speculative background loads (the prefetch extension).
-  std::uint64_t prefetches = 0;
-  std::uint64_t prefetch_bytes = 0;
-  double prefetch_time_s = 0.0;
-  double prefetch_energy_nj = 0.0;
-  // zram-style compression (the compression extension).
-  std::uint64_t compressions = 0;
-  std::uint64_t decompressions = 0;
-  double compression_time_s = 0.0;  ///< CPU time spent (de)compressing
 };
 
 struct ProcessManagerConfig {
@@ -61,13 +46,6 @@ struct ProcessManagerConfig {
   std::uint64_t ram_bytes = 4096ull * 1024 * 1024;
   /// RAM held by the OS and services, unavailable to apps.
   std::uint64_t reserved_bytes = 1024ull * 1024 * 1024;
-  /// zram extension: under memory pressure, compress the victim's
-  /// resident set instead of killing it (process-limit pressure still
-  /// kills).  Off by default to match stock behaviour.
-  bool compress_instead_of_kill = false;
-  double compression_ratio = 0.35;   ///< compressed size / original
-  double compress_mbps = 800.0;      ///< LZ4-class throughput
-  double decompress_mbps = 2400.0;
 };
 
 class ProcessManager {
@@ -79,19 +57,11 @@ class ProcessManager {
   /// empty cost for warm starts.
   LoadCost launch(AppId app, double time_s);
 
-  /// Speculatively loads an app into the background cache (no foreground
-  /// switch, cost booked as prefetch work, not user wait).  Refuses —
-  /// returning false — when the app is already resident, or when making
-  /// room would require killing anything (prefetch must never evict).
-  bool preload(AppId app, double time_s);
-
   bool is_running(AppId app) const { return running_.contains(app); }
   std::size_t running_count() const { return running_.size(); }
   /// Processes that count against the background process limit (protected
   /// system/persistent processes are exempt, as on Android).
   std::size_t killable_count() const;
-  /// Background processes currently swapped into compressed RAM.
-  std::size_t compressed_count() const;
   std::uint64_t used_ram() const;
   std::optional<AppId> foreground() const { return foreground_; }
 

@@ -83,10 +83,6 @@ std::string_view event_name(TraceEventType t) {
       return "foreground";
     case TraceEventType::kEmotionChange:
       return "emotion_change";
-    case TraceEventType::kCompress:
-      return "compress";
-    case TraceEventType::kDecompress:
-      return "decompress";
   }
   return "unknown";
 }

@@ -18,8 +18,6 @@ enum class TraceEventType : std::uint8_t {
   kKill,
   kForeground,
   kEmotionChange,
-  kCompress,
-  kDecompress,
 };
 
 struct TraceEvent {

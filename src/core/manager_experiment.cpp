@@ -37,7 +37,6 @@ ManagerExperimentResult run_manager_experiment(
   android::ProcessManagerConfig pm_cfg;
   pm_cfg.process_limit = static_cast<std::size_t>(cfg.emulator.process_limit);
   pm_cfg.ram_bytes = cfg.emulator.ram_bytes;
-  pm_cfg.compress_instead_of_kill = cfg.zram;
 
   // ---- Baseline run ---------------------------------------------------
   {
@@ -87,13 +86,6 @@ ManagerExperimentResult run_manager_experiment(
         res.proposed_trace.record(ev.time_s,
                                   android::TraceEventType::kEmotionChange, 0,
                                   std::string(affect::emotion_name(ev.emotion)));
-        if (cfg.prefetch_on_emotion_change) {
-          int loaded = 0;
-          for (android::AppId app : table.rank(ev.emotion)) {
-            if (loaded >= cfg.prefetch_top_k) break;
-            if (pm.preload(app, ev.time_s)) ++loaded;
-          }
-        }
       }
       pm.launch(ev.app, ev.time_s);
     }

@@ -35,13 +35,6 @@ struct ManagerExperimentConfig {
   /// Warm-up observation length (multiples of the timeline) for
   /// kOnlineWarmup.
   int warmup_repeats = 3;
-  /// Extension: on every emotion change, speculatively preload the top-k
-  /// ranked apps for the new emotion (never evicting anything).
-  bool prefetch_on_emotion_change = false;
-  int prefetch_top_k = 3;
-  /// Extension: zram-style compression before killing under RAM pressure
-  /// (applies to both the baseline and the proposed run).
-  bool zram = false;
 
   ManagerExperimentConfig();
 };

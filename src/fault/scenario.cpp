@@ -52,7 +52,7 @@ struct ScenarioWorld {
       table.learn_from_profile(e, android::profile_for_emotion(e), catalog);
     }
     const h264::VideoConfig vc{64, 64, 12, 1.0, 0.5, 1.0, 5};
-    h264::Encoder enc(h264::EncoderConfig{64, 64, 26, 12, 2, 4, true});
+    h264::Encoder enc(h264::EncoderConfig{64, 64, 26, 12, 2, 4});
     clip = enc.encode_annexb(h264::generate_test_video(vc));
   }
 };

@@ -146,8 +146,8 @@ std::vector<NalUnit> Encoder::parameter_sets() const {
     BitWriter bw;
     bw.put_ue(0);  // pps_id
     bw.put_ue(0);  // sps_id
-    bw.put_se(cfg_.qp - 26);            // pic_init_qp_minus26
-    bw.put_bit(cfg_.deblock_in_loop);   // deblocking_filter_control
+    bw.put_se(cfg_.qp - 26);  // pic_init_qp_minus26
+    bw.put_bit(true);         // deblocking_filter_control: always on
     bw.finish_rbsp();
     NalUnit pps;
     pps.type = NalType::kPps;
@@ -393,7 +393,7 @@ EncodedPicture Encoder::encode_picture(const YuvFrame& src, SliceType type,
   bw.finish_rbsp();
 
   // In-loop deblocking of the reconstruction used for referencing.
-  if (cfg_.deblock_in_loop) deblock_frame(recon, mb_info, qp);
+  deblock_frame(recon, mb_info, qp);
   if (recon_out) *recon_out = std::move(recon);
 
   EncodedPicture pic;

@@ -29,7 +29,6 @@ struct EncoderConfig {
   int gop_size = 12;        ///< I-frame period (in display order)
   int b_frames = 2;         ///< consecutive B pictures between references
   int search_range = 4;     ///< full-pel ME range
-  bool deblock_in_loop = true;  ///< apply DF to reference reconstructions
   /// Refine motion vectors to half-sample accuracy (6-tap interpolation).
   /// Vectors are coded in half-pel units either way.
   bool halfpel_mc = true;

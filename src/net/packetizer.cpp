@@ -33,14 +33,12 @@ std::vector<MediaPacket> Packetizer::packetize(
     // Try STAP-style aggregation: how many consecutive NALs fit in one
     // packet at 3 bytes of framing each ([u16 size][header byte])?
     std::size_t agg_end = i;
-    if (cfg_.aggregate) {
-      std::size_t used = 0;
-      while (agg_end < nals.size()) {
-        const std::size_t need = 3 + nals[agg_end].payload.size();
-        if (used + need > mtu) break;
-        used += need;
-        ++agg_end;
-      }
+    std::size_t used = 0;
+    while (agg_end < nals.size()) {
+      const std::size_t need = 3 + nals[agg_end].payload.size();
+      if (used + need > mtu) break;
+      used += need;
+      ++agg_end;
     }
     if (agg_end - i >= 2) {
       MediaPacket p;

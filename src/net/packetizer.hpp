@@ -31,8 +31,6 @@ namespace affectsys::net {
 struct PacketizerConfig {
   /// Maximum payload bytes per packet; NALs above this fragment.
   std::size_t mtu = 128;
-  /// Coalesce runs of >= 2 small NALs into aggregate packets.
-  bool aggregate = true;
 };
 
 class Packetizer {

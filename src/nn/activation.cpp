@@ -20,74 +20,26 @@ void softmax_inplace(std::span<float> logits) {
   for (float& v : logits) v /= sum;
 }
 
-Matrix Activation::forward(const Matrix& x) {
+Matrix Relu::forward(const Matrix& x) {
   Matrix out = x;
-  for (float& v : out.flat()) {
-    switch (kind_) {
-      case ActKind::kReLU:
-        v = relu(v);
-        break;
-      case ActKind::kTanh:
-        v = std::tanh(v);
-        break;
-      case ActKind::kSigmoid:
-        v = sigmoid(v);
-        break;
-    }
-  }
+  for (float& v : out.flat()) v = relu(v);
   output_ = out;
   return out;
 }
 
-void Activation::forward_infer(const Matrix& x, Matrix& out) {
+void Relu::forward_infer(const Matrix& x, Matrix& out) {
   out.reshape(x.rows(), x.cols());
   const auto in = x.flat();
   auto o = out.flat();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    switch (kind_) {
-      case ActKind::kReLU:
-        o[i] = relu(in[i]);
-        break;
-      case ActKind::kTanh:
-        o[i] = std::tanh(in[i]);
-        break;
-      case ActKind::kSigmoid:
-        o[i] = sigmoid(in[i]);
-        break;
-    }
-  }
+  for (std::size_t i = 0; i < in.size(); ++i) o[i] = relu(in[i]);
 }
 
-Matrix Activation::backward(const Matrix& grad_out) {
+Matrix Relu::backward(const Matrix& grad_out) {
   Matrix grad_in = grad_out;
   auto g = grad_in.flat();
   auto y = output_.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    switch (kind_) {
-      case ActKind::kReLU:
-        g[i] = y[i] > 0.0f ? g[i] : 0.0f;
-        break;
-      case ActKind::kTanh:
-        g[i] *= 1.0f - y[i] * y[i];
-        break;
-      case ActKind::kSigmoid:
-        g[i] *= y[i] * (1.0f - y[i]);
-        break;
-    }
-  }
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = y[i] > 0.0f ? g[i] : 0.0f;
   return grad_in;
-}
-
-std::string Activation::kind() const {
-  switch (kind_) {
-    case ActKind::kReLU:
-      return "relu";
-    case ActKind::kTanh:
-      return "tanh";
-    case ActKind::kSigmoid:
-      return "sigmoid";
-  }
-  return "unknown";
 }
 
 }  // namespace affectsys::nn

@@ -1,4 +1,4 @@
-// Elementwise activation layers and the free functions they wrap.
+// The ReLU layer and the elementwise functions the layers share.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -6,28 +6,24 @@
 namespace affectsys::nn {
 
 float relu(float x);
+/// Logistic function (the LSTM's gates; std::tanh is used directly for
+/// its candidate and output).
 float sigmoid(float x);
-// std::tanh is used directly for tanh.
 
 /// Numerically stable softmax over a row vector, in place.
 void softmax_inplace(std::span<float> logits);
 
-enum class ActKind { kReLU, kTanh, kSigmoid };
-
-class Activation : public Layer {
+/// Elementwise ReLU, the activation of every classifier build_model()
+/// constructs.  Serialized as "relu".
+class Relu : public Layer {
  public:
-  explicit Activation(ActKind kind) : kind_(kind) {}
-
   Matrix forward(const Matrix& x) override;
   void forward_infer(const Matrix& x, Matrix& out) override;
   Matrix backward(const Matrix& grad_out) override;
-  std::string kind() const override;
-
-  ActKind act_kind() const { return kind_; }
+  std::string kind() const override { return "relu"; }
 
  private:
-  ActKind kind_;
-  Matrix output_;  ///< cached activations (all three derivatives use y)
+  Matrix output_;  ///< cached activations (the derivative reads y > 0)
 };
 
 }  // namespace affectsys::nn

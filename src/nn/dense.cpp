@@ -32,7 +32,7 @@ void Dense::forward_infer(const Matrix& x, Matrix& out) {
 
 Matrix Dense::backward(const Matrix& grad_out) {
   // dW = x^T * gOut ; db = column sums of gOut ; dX = gOut * W^T
-  weight_.grad += input_.transposed_matmul(grad_out);
+  weight_.grad.add_transposed_matmul(input_, grad_out);
   for (std::size_t r = 0; r < grad_out.rows(); ++r) {
     auto row = grad_out.row(r);
     for (std::size_t c = 0; c < grad_out.cols(); ++c) {

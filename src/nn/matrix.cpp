@@ -240,21 +240,23 @@ Matrix Matrix::matmul_reference(const Matrix& o) const {
   return out;
 }
 
-Matrix Matrix::transposed_matmul(const Matrix& o) const {
-  if (rows_ != o.rows_) {
-    throw std::invalid_argument("transposed_matmul: shape mismatch");
+void Matrix::add_transposed_matmul(const Matrix& a, const Matrix& b) {
+  if (a.rows_ != b.rows_ || rows_ != a.cols_ || cols_ != b.cols_) {
+    throw std::invalid_argument("add_transposed_matmul: shape mismatch");
   }
-  Matrix out(cols_, o.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    for (std::size_t r = 0; r < cols_; ++r) {
-      const float a = (*this)(k, r);
-      if (a == 0.0f) continue;
-      const float* orow = &o.data_[k * o.cols_];
-      float* out_row = &out.data_[r * o.cols_];
-      for (std::size_t c = 0; c < o.cols_; ++c) out_row[c] += a * orow[c];
+  thread_local std::vector<float> acc;
+  acc.resize(cols_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (std::size_t k = 0; k < a.rows_; ++k) {
+      const float av = a(k, r);
+      if (av == 0.0f) continue;
+      const float* brow = &b.data_[k * b.cols_];
+      for (std::size_t c = 0; c < cols_; ++c) acc[c] += av * brow[c];
     }
+    float* row = &data_[r * cols_];
+    for (std::size_t c = 0; c < cols_; ++c) row[c] += acc[c];
   }
-  return out;
 }
 
 Matrix Matrix::matmul_transposed(const Matrix& o) const {

@@ -62,8 +62,12 @@ class Matrix {
   /// (the micro-kernel accumulates each k-tile in registers).  Kept for
   /// bench_kernels and the kernel tolerance suite.
   Matrix matmul_reference(const Matrix& o) const;
-  /// this^T (k x r) times o — avoids materializing the transpose.
-  Matrix transposed_matmul(const Matrix& o) const;
+  /// this += a^T b, for a (k x r), b (k x c) and this (r x c), without
+  /// materializing the transpose or the product: each output row sums
+  /// its k terms in ascending order from zero (zero entries of `a`
+  /// skipped) in a per-thread row buffer, then adds the row into this.
+  /// Bit-identical to forming the product in full and adding it.
+  void add_transposed_matmul(const Matrix& a, const Matrix& b);
   /// this (r x k) times o^T (c x k) -> (r x c).
   Matrix matmul_transposed(const Matrix& o) const;
   Matrix transposed() const;

@@ -8,8 +8,6 @@
 #include "nn/activation.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
-#include "nn/dropout.hpp"
-#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/pooling.hpp"
 
@@ -148,15 +146,8 @@ void Sequential::save(std::ostream& os) const {
     } else if (auto* r = dynamic_cast<Lstm*>(l.get())) {
       write_u32(os, static_cast<std::uint32_t>(r->input_size()));
       write_u32(os, static_cast<std::uint32_t>(r->hidden_size()));
-    } else if (auto* g = dynamic_cast<Gru*>(l.get())) {
-      write_u32(os, static_cast<std::uint32_t>(g->input_size()));
-      write_u32(os, static_cast<std::uint32_t>(g->hidden_size()));
     } else if (auto* p = dynamic_cast<MaxPool1D*>(l.get())) {
       write_u32(os, static_cast<std::uint32_t>(p->pool()));
-    } else if (auto* dr = dynamic_cast<Dropout*>(l.get())) {
-      // Store the rate scaled to a fixed point; dropout is identity at
-      // inference so the seed need not survive serialization.
-      write_u32(os, static_cast<std::uint32_t>(dr->rate() * 1000.0f));
     }
     for (Param* p : l->params()) write_matrix(os, p->value);
   }
@@ -181,24 +172,10 @@ Sequential Sequential::load(std::istream& is) {
     } else if (kind == "lstm") {
       const auto in = read_u32(is), hid = read_u32(is);
       layer = std::make_unique<Lstm>(in, hid, rng);
-    } else if (kind == "gru") {
-      const auto in = read_u32(is), hid = read_u32(is);
-      layer = std::make_unique<Gru>(in, hid, rng);
-    } else if (kind == "dropout") {
-      auto d = std::make_unique<Dropout>(
-          static_cast<float>(read_u32(is)) / 1000.0f, 0);
-      d->set_training(false);
-      layer = std::move(d);
     } else if (kind == "maxpool1d") {
       layer = std::make_unique<MaxPool1D>(read_u32(is));
     } else if (kind == "relu") {
-      layer = std::make_unique<Activation>(ActKind::kReLU);
-    } else if (kind == "tanh") {
-      layer = std::make_unique<Activation>(ActKind::kTanh);
-    } else if (kind == "sigmoid") {
-      layer = std::make_unique<Activation>(ActKind::kSigmoid);
-    } else if (kind == "mean_over_time") {
-      layer = std::make_unique<MeanOverTime>();
+      layer = std::make_unique<Relu>();
     } else if (kind == "last_timestep") {
       layer = std::make_unique<LastTimestep>();
     } else if (kind == "flatten") {
@@ -220,11 +197,11 @@ Sequential build_mlp(const ClassifierSpec& spec, std::mt19937& rng) {
   Sequential m;
   m.add(std::make_unique<Flatten>())
       .add(std::make_unique<Dense>(flat, 416, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<Dense>(416, 128, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<Dense>(128, 36, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<Dense>(36, spec.num_classes, rng));
   return m;
 }
@@ -236,28 +213,17 @@ Sequential build_cnn(const ClassifierSpec& spec, std::mt19937& rng) {
   const std::size_t pooled_t = (spec.timesteps + 1) / 2 / 2;
   Sequential m;
   m.add(std::make_unique<Conv1D>(spec.input_features, 32, 5, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<MaxPool1D>(2))
       .add(std::make_unique<Conv1D>(32, 64, 5, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<MaxPool1D>(2))
       .add(std::make_unique<Conv1D>(64, 128, 5, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<Flatten>())
       .add(std::make_unique<Dense>(pooled_t * 128, 296, rng))
-      .add(std::make_unique<Activation>(ActKind::kReLU))
+      .add(std::make_unique<Relu>())
       .add(std::make_unique<Dense>(296, spec.num_classes, rng));
-  return m;
-}
-
-Sequential build_gru(const ClassifierSpec& spec, std::mt19937& rng) {
-  // Extension model (not in the paper's trio): two GRU layers sized for
-  // the same hidden capacity as the LSTM at ~3/4 of its parameters.
-  Sequential m;
-  m.add(std::make_unique<Gru>(spec.input_features, 216, rng))
-      .add(std::make_unique<Gru>(216, 152, rng))
-      .add(std::make_unique<LastTimestep>())
-      .add(std::make_unique<Dense>(152, spec.num_classes, rng));
   return m;
 }
 

@@ -82,17 +82,14 @@ struct ClassifierSpec {
 /// feature geometry -> logits.
 Sequential build_mlp(const ClassifierSpec& spec, std::mt19937& rng);
 
-/// CNN: three Conv1D stages of 32/64/128 channels with ReLU + MaxPool,
-/// mean-pool head (~649k parameters at paper geometry).
+/// CNN: three Conv1D stages of 32/64/128 channels with ReLU (MaxPool
+/// after the first two), flattened into a dense head (~660k parameters
+/// at paper geometry; the paper reports ~649k).
 Sequential build_cnn(const ClassifierSpec& spec, std::mt19937& rng);
 
 /// LSTM: two stacked layers totalling 320 units (~429k parameters),
 /// last-timestep head.
 Sequential build_lstm(const ClassifierSpec& spec, std::mt19937& rng);
-
-/// GRU: extension model (same layout as the LSTM at ~3/4 the parameters)
-/// for the architecture ablation — not part of the paper's Fig 3 trio.
-Sequential build_gru(const ClassifierSpec& spec, std::mt19937& rng);
 
 enum class ModelKind { kMlp, kCnn, kLstm };
 

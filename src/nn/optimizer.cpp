@@ -4,28 +4,6 @@
 
 namespace affectsys::nn {
 
-void Sgd::step(const std::vector<Param*>& params) {
-  for (Param* p : params) {
-    if (momentum_ > 0.0f) {
-      auto [it, inserted] = velocity_.try_emplace(
-          p, Matrix(p->value.rows(), p->value.cols()));
-      Matrix& vel = it->second;
-      auto v = vel.flat();
-      auto g = p->grad.flat();
-      auto w = p->value.flat();
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        v[i] = momentum_ * v[i] - lr_ * g[i];
-        w[i] += v[i];
-      }
-    } else {
-      auto g = p->grad.flat();
-      auto w = p->value.flat();
-      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr_ * g[i];
-    }
-    p->zero_grad();
-  }
-}
-
 void Adam::step(const std::vector<Param*>& params) {
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));

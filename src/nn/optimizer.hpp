@@ -1,4 +1,4 @@
-// First-order optimizers operating on Layer parameter sets.
+// The optimizer nn::train uses, and global-norm gradient clipping.
 #pragma once
 
 #include <unordered_map>
@@ -8,36 +8,16 @@
 
 namespace affectsys::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Applies one update using each param's accumulated gradient, then
-  /// zeroes the gradients.
-  virtual void step(const std::vector<Param*>& params) = 0;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f)
-      : lr_(lr), momentum_(momentum) {}
-
-  void step(const std::vector<Param*>& params) override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::unordered_map<Param*, Matrix> velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with bias correction.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-  void step(const std::vector<Param*>& params) override;
+  /// Applies one update using each param's accumulated gradient, then
+  /// zeroes the gradients.
+  void step(const std::vector<Param*>& params);
 
  private:
   struct State {

@@ -39,27 +39,6 @@ Matrix MaxPool1D::backward(const Matrix& grad_out) {
   return grad_in;
 }
 
-Matrix MeanOverTime::forward(const Matrix& x) {
-  in_rows_ = x.rows();
-  Matrix out(1, x.cols());
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    for (std::size_t c = 0; c < x.cols(); ++c) out(0, c) += x(t, c);
-  }
-  if (in_rows_ > 0) out *= 1.0f / static_cast<float>(in_rows_);
-  return out;
-}
-
-Matrix MeanOverTime::backward(const Matrix& grad_out) {
-  Matrix grad_in(in_rows_, grad_out.cols());
-  const float scale = in_rows_ ? 1.0f / static_cast<float>(in_rows_) : 0.0f;
-  for (std::size_t t = 0; t < in_rows_; ++t) {
-    for (std::size_t c = 0; c < grad_out.cols(); ++c) {
-      grad_in(t, c) = grad_out(0, c) * scale;
-    }
-  }
-  return grad_in;
-}
-
 Matrix LastTimestep::forward(const Matrix& x) {
   if (x.rows() == 0) throw std::invalid_argument("LastTimestep: empty input");
   in_rows_ = x.rows();

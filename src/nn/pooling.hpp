@@ -23,17 +23,6 @@ class MaxPool1D : public Layer {
   std::vector<std::size_t> argmax_;  ///< winning input row per (out_t, c)
 };
 
-/// Mean over the time axis: (T, C) -> (1, C).
-class MeanOverTime : public Layer {
- public:
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
-  std::string kind() const override { return "mean_over_time"; }
-
- private:
-  std::size_t in_rows_ = 0;
-};
-
 /// Keeps only the final timestep: (T, C) -> (1, C).  Standard head for the
 /// LSTM classifier.
 class LastTimestep : public Layer {

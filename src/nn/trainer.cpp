@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <numeric>
 
-#include "nn/dropout.hpp"
+#include "nn/optimizer.hpp"
 
 namespace affectsys::nn {
+namespace {
+
+/// Global gradient-norm bound applied before every optimizer step.
+constexpr float kGradClip = 5.0f;
+
+}  // namespace
 
 float train(Sequential& model, const Dataset& train, const TrainConfig& cfg) {
   if (train.empty()) return 0.0f;
-  set_training_mode(model, true);
   Adam opt(cfg.learning_rate);
   std::mt19937 rng(cfg.seed);
   std::vector<std::size_t> order(train.size());
@@ -31,7 +36,7 @@ float train(Sequential& model, const Dataset& train, const TrainConfig& cfg) {
         // Average accumulated gradients over the batch.
         const float inv = 1.0f / static_cast<float>(in_batch);
         for (Param* p : params) p->grad *= inv;
-        if (cfg.grad_clip > 0.0f) clip_gradients(params, cfg.grad_clip);
+        clip_gradients(params, kGradClip);
         opt.step(params);
         in_batch = 0;
       }
@@ -40,7 +45,7 @@ float train(Sequential& model, const Dataset& train, const TrainConfig& cfg) {
       auto params = model.params();
       const float inv = 1.0f / static_cast<float>(in_batch);
       for (Param* p : params) p->grad *= inv;
-      if (cfg.grad_clip > 0.0f) clip_gradients(params, cfg.grad_clip);
+      clip_gradients(params, kGradClip);
       opt.step(params);
     }
     epoch_loss = static_cast<float>(loss_sum / static_cast<double>(train.size()));
@@ -51,7 +56,6 @@ float train(Sequential& model, const Dataset& train, const TrainConfig& cfg) {
 
 EvalResult evaluate(Sequential& model, const Dataset& test,
                     std::size_t num_classes) {
-  set_training_mode(model, false);
   EvalResult res;
   res.confusion.assign(num_classes, std::vector<std::size_t>(num_classes, 0));
   if (test.empty()) return res;

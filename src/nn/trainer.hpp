@@ -7,7 +7,6 @@
 
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
 
 namespace affectsys::nn {
 
@@ -23,7 +22,6 @@ struct TrainConfig {
   std::size_t epochs = 20;
   std::size_t batch_size = 16;
   float learning_rate = 1e-3f;
-  float grad_clip = 5.0f;  ///< 0 disables clipping
   unsigned seed = 1;
   /// Called after each epoch with (epoch, mean training loss).
   std::function<void(std::size_t, float)> on_epoch;
@@ -35,7 +33,8 @@ struct EvalResult {
   std::vector<std::vector<std::size_t>> confusion;
 };
 
-/// Trains `model` on `train` with Adam; returns final mean epoch loss.
+/// Trains `model` on `train` with Adam, clipping each step's gradients
+/// to a global norm of 5; returns final mean epoch loss.
 float train(Sequential& model, const Dataset& train, const TrainConfig& cfg);
 
 /// Accuracy + confusion matrix on a held-out set.

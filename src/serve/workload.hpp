@@ -38,7 +38,7 @@ struct WorkloadConfig {
   /// Prototype clip (matches adaptive::PlaybackConfig calibration: busy
   /// scenes produce B NALs just above S_th = 140, quiet scenes below).
   h264::VideoConfig video{64, 64, 48, 1.2, 0.6, 2.5, 77};
-  h264::EncoderConfig encoder{64, 64, 24, 12, 2, 4, true};
+  h264::EncoderConfig encoder{64, 64, 24, 12, 2, 4};
   double quiet_fraction = 0.25;
   /// Simulcast ladder built alongside the single-layer prototype clip.
   /// Layers empty (the default) skips the build entirely; sessions with

@@ -118,7 +118,7 @@ std::vector<double> dct2(std::span<const double> x, std::size_t num_coeffs) {
 
 MfccExtractor::MfccExtractor(const MfccConfig& cfg)
     : cfg_(cfg),
-      window_(make_window(cfg.window, cfg.frame_len)),
+      window_(hamming_window(cfg.frame_len)),
       bank_(cfg.num_filters, cfg.fft_size, cfg.sample_rate, cfg.fmin,
             cfg.fmax) {
   if (cfg.fft_size < cfg.frame_len) {

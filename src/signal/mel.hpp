@@ -71,7 +71,6 @@ struct MfccConfig {
   std::size_t num_coeffs = 13;
   double fmin = 20.0;
   double fmax = 8000.0;
-  WindowType window = WindowType::kHamming;
 };
 
 /// Reusable scratch for the allocation-free MFCC path: sized on first

@@ -6,23 +6,12 @@
 
 namespace affectsys::signal {
 
-std::vector<double> make_window(WindowType type, std::size_t length) {
-  if (length == 0) throw std::invalid_argument("make_window: zero length");
-  std::vector<double> w(length, 1.0);
+std::vector<double> hamming_window(std::size_t length) {
+  if (length == 0) throw std::invalid_argument("hamming_window: zero length");
+  std::vector<double> w(length);
   const double n = static_cast<double>(length);
-  switch (type) {
-    case WindowType::kRectangular:
-      break;
-    case WindowType::kHann:
-      for (std::size_t i = 0; i < length; ++i) {
-        w[i] = 0.5 - 0.5 * std::cos(2.0 * std::numbers::pi * i / n);
-      }
-      break;
-    case WindowType::kHamming:
-      for (std::size_t i = 0; i < length; ++i) {
-        w[i] = 0.54 - 0.46 * std::cos(2.0 * std::numbers::pi * i / n);
-      }
-      break;
+  for (std::size_t i = 0; i < length; ++i) {
+    w[i] = 0.54 - 0.46 * std::cos(2.0 * std::numbers::pi * i / n);
   }
   return w;
 }

@@ -6,11 +6,9 @@
 
 namespace affectsys::signal {
 
-enum class WindowType { kRectangular, kHann, kHamming };
-
-/// Window coefficients of the given length (periodic form, suitable for
-/// STFT analysis).
-std::vector<double> make_window(WindowType type, std::size_t length);
+/// Hamming window coefficients of the given length (periodic form,
+/// suitable for STFT analysis): the MFCC front end's analysis window.
+std::vector<double> hamming_window(std::size_t length);
 
 /// Multiplies `frame` elementwise by `window`; sizes must match.
 void apply_window(std::span<double> frame, std::span<const double> window);

@@ -1,4 +1,4 @@
-#include "conf/policy_fuzz.hpp"
+#include "policy_fuzz.hpp"
 
 #include "h264/decoder.hpp"
 #include "net/transport.hpp"

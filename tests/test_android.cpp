@@ -197,96 +197,6 @@ TEST(ProcessManager, MetricsAddUp) {
   EXPECT_GT(pm.metrics().loading_time_s, 0.0);
 }
 
-TEST(ProcessManager, CompressionDefersKills) {
-  const auto catalog = android::build_catalog(android::EmulatorSpec{});
-  android::LruKillPolicy lru1, lru2;
-  android::ProcessManagerConfig plain = tight_config();
-  plain.process_limit = 40;  // isolate RAM pressure
-  android::ProcessManagerConfig zram = plain;
-  zram.compress_instead_of_kill = true;
-
-  android::ProcessManager pm_plain(catalog, plain, lru1);
-  android::ProcessManager pm_zram(catalog, zram, lru2);
-  double t = 0.0;
-  for (const auto& a : catalog) {
-    pm_plain.launch(a.id, t += 1.0);
-    pm_zram.launch(a.id, t);
-  }
-  EXPECT_GT(pm_zram.metrics().compressions, 0u);
-  EXPECT_LT(pm_zram.metrics().kills, pm_plain.metrics().kills);
-  // More processes survive resident under compression.
-  EXPECT_GT(pm_zram.running_count(), pm_plain.running_count());
-  EXPECT_LE(pm_zram.used_ram(), zram.ram_bytes + (1ull << 30));
-}
-
-TEST(ProcessManager, CompressedWarmStartPaysDecompression) {
-  const auto catalog = android::build_catalog(android::EmulatorSpec{});
-  android::FifoKillPolicy fifo;
-  android::ProcessManagerConfig cfg = tight_config();
-  cfg.process_limit = 40;
-  cfg.compress_instead_of_kill = true;
-  android::ProcessManager pm(catalog, cfg, fifo);
-  double t = 0.0;
-  for (const auto& a : catalog) pm.launch(a.id, t += 1.0);
-  ASSERT_GT(pm.compressed_count(), 0u);
-  // Relaunch the first app (FIFO victim, so it was compressed first if
-  // still resident).  Find any compressed resident app instead.
-  android::AppId compressed_app = 0;
-  for (const auto& a : catalog) {
-    if (pm.is_running(a.id)) compressed_app = a.id;
-  }
-  const auto before = pm.metrics().decompressions;
-  // Launch every resident app until a decompression happens.
-  for (const auto& a : catalog) {
-    if (pm.is_running(a.id)) pm.launch(a.id, t += 1.0);
-    if (pm.metrics().decompressions > before) break;
-  }
-  (void)compressed_app;
-  EXPECT_GT(pm.metrics().decompressions, before);
-  EXPECT_GT(pm.metrics().compression_time_s, 0.0);
-}
-
-TEST(ProcessManager, PreloadMakesNextLaunchWarm) {
-  const auto catalog = android::build_catalog(android::EmulatorSpec{});
-  android::FifoKillPolicy fifo;
-  android::ProcessManager pm(catalog, tight_config(), fifo);
-  const android::AppId app = catalog[6].id;
-  EXPECT_TRUE(pm.preload(app, 1.0));
-  EXPECT_TRUE(pm.is_running(app));
-  EXPECT_NE(pm.foreground(), app);  // preload does not steal focus
-  const auto cost = pm.launch(app, 2.0);
-  EXPECT_EQ(cost.bytes, 0u);  // warm start
-  EXPECT_EQ(pm.metrics().warm_starts, 1u);
-  EXPECT_EQ(pm.metrics().prefetches, 1u);
-  EXPECT_GT(pm.metrics().prefetch_bytes, 0u);
-  EXPECT_EQ(pm.metrics().loading_time_s, 0.0);  // no user-visible wait
-}
-
-TEST(ProcessManager, PreloadRefusesWhenItWouldEvict) {
-  const auto catalog = android::build_catalog(android::EmulatorSpec{});
-  android::FifoKillPolicy fifo;
-  android::ProcessManagerConfig cfg = tight_config();
-  android::ProcessManager pm(catalog, cfg, fifo);
-  double t = 0.0;
-  for (const auto& a : catalog) pm.launch(a.id, t += 1.0);  // fill budgets
-  // Find a non-resident app; preloading it must fail (no headroom).
-  for (const auto& a : catalog) {
-    if (!pm.is_running(a.id)) {
-      EXPECT_FALSE(pm.preload(a.id, t + 1.0));
-      break;
-    }
-  }
-  EXPECT_EQ(pm.metrics().prefetches, 0u);
-}
-
-TEST(ProcessManager, PreloadOfResidentAppIsNoop) {
-  const auto catalog = android::build_catalog(android::EmulatorSpec{});
-  android::FifoKillPolicy fifo;
-  android::ProcessManager pm(catalog, tight_config(), fifo);
-  pm.launch(catalog[0].id, 1.0);
-  EXPECT_FALSE(pm.preload(catalog[0].id, 2.0));
-}
-
 TEST(ProcessManager, UnknownAppThrows) {
   const auto catalog = android::build_catalog(android::EmulatorSpec{});
   android::FifoKillPolicy fifo;

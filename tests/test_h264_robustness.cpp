@@ -19,7 +19,7 @@ namespace {
 std::vector<std::uint8_t> reference_stream() {
   h264::VideoConfig vc{64, 64, 12, 1.0, 0.5, 1.0, 5};
   const auto video = h264::generate_test_video(vc);
-  h264::EncoderConfig ec{64, 64, 26, 12, 2, 4, true};
+  h264::EncoderConfig ec{64, 64, 26, 12, 2, 4};
   h264::Encoder enc(ec);
   return enc.encode_annexb(video);
 }
@@ -115,7 +115,7 @@ TEST(Robustness, DecoderRecoversAtNextIdrAfterLostGop) {
   // next IDR (this is why the Input Selector never touches I slices).
   h264::VideoConfig vc{64, 64, 24, 1.0, 0.5, 1.0, 6};
   const auto video = h264::generate_test_video(vc);
-  h264::EncoderConfig ec{64, 64, 26, 8, 0, 4, true};
+  h264::EncoderConfig ec{64, 64, 26, 8, 0, 4};
   h264::Encoder enc(ec);
   auto units = enc.parameter_sets();
   auto pics = enc.encode(video);

@@ -851,3 +851,60 @@ TEST(Gemm, MatmulTransposedUnchangedByColumnBlocking) {
     }
   }
 }
+
+TEST(Gemm, AddTransposedMatmulEqualsProductThenAdd) {
+  // Dense::backward's weight-gradient accumulate must equal forming
+  // a^T b in full (k ascending from zero, zero entries of a skipped) and
+  // then adding it elementwise, bit for bit.  Shapes: the MLP's first
+  // layer (one 1,088-wide input row against 416 output gradients),
+  // multi-row pairs, and a with zeros in it.
+  const auto product_then_add = [](nn::Matrix acc, const nn::Matrix& a,
+                                   const nn::Matrix& b) {
+    nn::Matrix prod(a.cols(), b.cols());
+    for (std::size_t k = 0; k < a.rows(); ++k) {
+      for (std::size_t r = 0; r < a.cols(); ++r) {
+        const float av = a(k, r);
+        if (av == 0.0f) continue;
+        for (std::size_t c = 0; c < b.cols(); ++c) {
+          prod(r, c) += av * b(k, c);
+        }
+      }
+    }
+    acc += prod;
+    return acc;
+  };
+  const struct {
+    std::size_t k, r, c;
+    bool zeros;
+  } shapes[] = {{1, 1088, 416, false}, {1, 1088, 416, true},
+                {6, 33, 17, false},    {6, 33, 17, true},
+                {64, 9, 5, true}};
+  unsigned seed = 400;
+  for (const auto& s : shapes) {
+    nn::Matrix a = make_matrix(s.k, s.r, seed++, false);
+    const nn::Matrix b = make_matrix(s.k, s.c, seed++, false);
+    nn::Matrix grad = make_matrix(s.r, s.c, seed++, false);
+    if (s.zeros) {
+      // ReLU-style zeros in a (a third of the entries, whole columns
+      // among them) and signed zeros in the accumulator.
+      for (std::size_t k = 0; k < s.k; ++k) {
+        for (std::size_t r = 0; r < s.r; ++r) {
+          if (r % 3 == 0 || (k + r) % 5 == 0) a(k, r) = 0.0f;
+        }
+      }
+      grad(0, 0) = -0.0f;
+      grad(s.r - 1, s.c - 1) = -0.0f;
+    }
+    const nn::Matrix want = product_then_add(grad, a, b);
+    grad.add_transposed_matmul(a, b);
+    ASSERT_EQ(std::memcmp(grad.flat().data(), want.flat().data(),
+                          want.size() * sizeof(float)),
+              0)
+        << s.k << "x" << s.r << " by " << s.k << "x" << s.c;
+  }
+  nn::Matrix wrong(3, 4);
+  EXPECT_THROW(wrong.add_transposed_matmul(nn::Matrix(2, 3), nn::Matrix(1, 4)),
+               std::invalid_argument);
+  EXPECT_THROW(wrong.add_transposed_matmul(nn::Matrix(2, 3), nn::Matrix(2, 5)),
+               std::invalid_argument);
+}

@@ -239,7 +239,7 @@ TEST(Packetizer, AggregatesSmallAndFragmentsLarge) {
   nals[2].ref_idc = 3;
   nals[2].payload.assign(40, 0x5A);
 
-  net::Packetizer pk(net::PacketizerConfig{16, true});
+  net::Packetizer pk(net::PacketizerConfig{16});
   const auto packets = pk.packetize(nals, 9, 2);
   ASSERT_EQ(packets.size(), 4u);  // 1 aggregate + 3 fragments
   EXPECT_EQ(packets[0].kind, net::PacketKind::kAggregate);
@@ -277,7 +277,7 @@ TEST(Packetizer, FragmentBoundarySpansEmulationPattern) {
   nal.payload = {0xAA, 0x00, 0x00, 0x03, 0x00, 0x00,
                  0x01, 0xBB, 0x00, 0x00, 0x00};
   for (std::size_t mtu = 1; mtu <= nal.payload.size() + 1; ++mtu) {
-    net::Packetizer pk(net::PacketizerConfig{mtu, true});
+    net::Packetizer pk(net::PacketizerConfig{mtu});
     net::Depacketizer dp;
     const auto events =
         dp.push(as_released(pk.packetize(std::span(&nal, 1), 0, 0)));
@@ -292,7 +292,7 @@ TEST(Depacketizer, LossAbortsFragmentChain) {
   nal.type = h264::NalType::kSliceIdr;
   nal.ref_idc = 3;
   nal.payload.assign(24, 0x33);
-  net::Packetizer pk(net::PacketizerConfig{8, true});
+  net::Packetizer pk(net::PacketizerConfig{8});
   const auto packets = pk.packetize(std::span(&nal, 1), 0, 0);
   ASSERT_EQ(packets.size(), 3u);
 

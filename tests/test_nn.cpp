@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -11,8 +12,6 @@
 #include "nn/activation.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
-#include "nn/dropout.hpp"
-#include "nn/gru.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
@@ -119,8 +118,9 @@ TEST(Matrix, TransposedVariantsAgree) {
   const nn::Matrix a = random_matrix(4, 5, 1);
   const nn::Matrix b = random_matrix(4, 3, 2);
   const nn::Matrix c = random_matrix(6, 5, 3);
-  // a^T * b via transposed_matmul == a.transposed().matmul(b).
-  const nn::Matrix r1 = a.transposed_matmul(b);
+  // a^T * b accumulated into zeros == a.transposed().matmul(b).
+  nn::Matrix r1(5, 3);
+  r1.add_transposed_matmul(a, b);
   const nn::Matrix r2 = a.transposed().matmul(b);
   ASSERT_TRUE(r1.same_shape(r2));
   for (std::size_t i = 0; i < r1.size(); ++i) {
@@ -188,16 +188,6 @@ TEST(GradCheck, Dense) {
   check_layer_gradients(layer, random_matrix(3, 6, 11));
 }
 
-TEST(GradCheck, ActivationTanh) {
-  nn::Activation layer(nn::ActKind::kTanh);
-  check_layer_gradients(layer, random_matrix(2, 5, 12));
-}
-
-TEST(GradCheck, ActivationSigmoid) {
-  nn::Activation layer(nn::ActKind::kSigmoid);
-  check_layer_gradients(layer, random_matrix(2, 5, 13));
-}
-
 TEST(GradCheck, Conv1D) {
   std::mt19937 rng(14);
   nn::Conv1D layer(3, 4, 3, rng);
@@ -208,17 +198,6 @@ TEST(GradCheck, Lstm) {
   std::mt19937 rng(16);
   nn::Lstm layer(3, 4, rng);
   check_layer_gradients(layer, random_matrix(6, 3, 17), 4e-2f);
-}
-
-TEST(GradCheck, Gru) {
-  std::mt19937 rng(61);
-  nn::Gru layer(3, 4, rng);
-  check_layer_gradients(layer, random_matrix(6, 3, 62), 4e-2f);
-}
-
-TEST(GradCheck, MeanOverTime) {
-  nn::MeanOverTime layer;
-  check_layer_gradients(layer, random_matrix(5, 4, 18));
 }
 
 TEST(GradCheck, LastTimestep) {
@@ -238,7 +217,7 @@ TEST(GradCheck, StackedNetworkEndToEnd) {
   nn::Sequential model;
   model.add(std::make_unique<nn::Flatten>())
       .add(std::make_unique<nn::Dense>(12, 8, rng))
-      .add(std::make_unique<nn::Activation>(nn::ActKind::kTanh))
+      .add(std::make_unique<nn::Relu>())
       .add(std::make_unique<nn::Dense>(8, 3, rng));
   nn::Matrix input = random_matrix(3, 4, 22);
 
@@ -269,22 +248,6 @@ TEST(GradCheck, StackedNetworkEndToEnd) {
 
 // --------------------------------------------------------------- optimizers
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  // Minimize ||w - t||^2 by feeding grad = 2(w - t).
-  nn::Param w("w", 1, 4);
-  const float target[4] = {1.0f, -2.0f, 0.5f, 3.0f};
-  nn::Sgd opt(0.1f);
-  for (int it = 0; it < 200; ++it) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      w.grad(0, i) = 2.0f * (w.value(0, i) - target[i]);
-    }
-    opt.step({&w});
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(w.value(0, i), target[i], 1e-3f);
-  }
-}
-
 TEST(Optimizer, AdamConvergesOnQuadratic) {
   nn::Param w("w", 1, 4);
   const float target[4] = {1.0f, -2.0f, 0.5f, 3.0f};
@@ -303,7 +266,7 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
 TEST(Optimizer, StepZeroesGradients) {
   nn::Param w("w", 2, 2);
   w.grad.fill(1.0f);
-  nn::Sgd opt(0.1f);
+  nn::Adam opt(0.1f);
   opt.step({&w});
   for (float g : w.grad.flat()) EXPECT_EQ(g, 0.0f);
 }
@@ -368,7 +331,7 @@ TEST(Training, LossDecreasesOverEpochs) {
   nn::Sequential model;
   model.add(std::make_unique<nn::Flatten>())
       .add(std::make_unique<nn::Dense>(12, 8, mrng))
-      .add(std::make_unique<nn::Activation>(nn::ActKind::kReLU))
+      .add(std::make_unique<nn::Relu>())
       .add(std::make_unique<nn::Dense>(8, 2, mrng));
   std::vector<float> losses;
   nn::TrainConfig cfg;
@@ -414,109 +377,6 @@ TEST(Training, SplitIsDisjointAndComplete) {
   EXPECT_FALSE(b.empty());
 }
 
-TEST(Training, GruLearnsSeparableSequenceTask) {
-  std::mt19937 rng(63);
-  std::normal_distribution<float> noise(0.0f, 0.1f);
-  nn::Dataset data;
-  for (int n = 0; n < 60; ++n) {
-    nn::Sample s;
-    s.label = static_cast<std::size_t>(n % 2);
-    s.features = nn::Matrix(10, 2);
-    for (std::size_t t = 0; t < 10; ++t) {
-      const float x = static_cast<float>(t) / 10.0f;
-      const float base = s.label == 0 ? x : 1.0f - x;
-      s.features(t, 0) = base + noise(rng);
-      s.features(t, 1) = -base + noise(rng);
-    }
-    data.push_back(std::move(s));
-  }
-  nn::Dataset train_set, test_set;
-  nn::split_dataset(data, 0.3, 1, train_set, test_set);
-  std::mt19937 mrng(64);
-  nn::Sequential model;
-  model.add(std::make_unique<nn::Gru>(2, 8, mrng))
-      .add(std::make_unique<nn::LastTimestep>())
-      .add(std::make_unique<nn::Dense>(8, 2, mrng));
-  nn::TrainConfig cfg;
-  cfg.epochs = 40;
-  cfg.batch_size = 8;
-  cfg.learning_rate = 1e-2f;
-  nn::train(model, train_set, cfg);
-  EXPECT_GT(nn::evaluate(model, test_set, 2).accuracy, 0.9);
-}
-
-TEST(GruModel, SmallerThanLstmSameLayout) {
-  nn::ClassifierSpec spec{17, 64, 7};
-  std::mt19937 rng(65);
-  auto gru = nn::build_gru(spec, rng);
-  auto lstm = nn::build_lstm(spec, rng);
-  EXPECT_LT(gru.param_count(), lstm.param_count());
-  // GRU carries 3 gate blocks vs the LSTM's 4.
-  EXPECT_NEAR(static_cast<double>(gru.param_count()),
-              0.75 * static_cast<double>(lstm.param_count()),
-              0.05 * static_cast<double>(lstm.param_count()));
-}
-
-// ----------------------------------------------------------------- dropout
-
-TEST(Dropout, InferenceModeIsIdentity) {
-  nn::Dropout layer(0.5f, 1);
-  layer.set_training(false);
-  const nn::Matrix x = random_matrix(4, 4, 66);
-  const nn::Matrix y = layer.forward(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(y.flat()[i], x.flat()[i]);
-  }
-}
-
-TEST(Dropout, TrainingPreservesExpectedValue) {
-  nn::Dropout layer(0.3f, 2);
-  nn::Matrix x(1, 10000, 1.0f);
-  const nn::Matrix y = layer.forward(x);
-  double mean = 0.0;
-  std::size_t zeros = 0;
-  for (float v : y.flat()) {
-    mean += v;
-    zeros += v == 0.0f;
-  }
-  mean /= static_cast<double>(y.size());
-  EXPECT_NEAR(mean, 1.0, 0.05);  // inverted scaling keeps E[y] = E[x]
-  EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(y.size()), 0.3,
-              0.03);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  nn::Dropout layer(0.5f, 3);
-  nn::Matrix x(1, 100, 1.0f);
-  const nn::Matrix y = layer.forward(x);
-  nn::Matrix g(1, 100, 1.0f);
-  const nn::Matrix gx = layer.backward(g);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    // Gradient flows exactly where the activation survived.
-    EXPECT_EQ(gx.flat()[i] == 0.0f, y.flat()[i] == 0.0f);
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(nn::Dropout(1.0f, 1), std::invalid_argument);
-  EXPECT_THROW(nn::Dropout(-0.1f, 1), std::invalid_argument);
-}
-
-TEST(Dropout, SetTrainingModeTogglesWholeModel) {
-  std::mt19937 rng(67);
-  nn::Sequential model;
-  model.add(std::make_unique<nn::Dense>(4, 4, rng))
-      .add(std::make_unique<nn::Dropout>(0.5f, 4))
-      .add(std::make_unique<nn::Dense>(4, 2, rng));
-  nn::set_training_mode(model, false);
-  const nn::Matrix x = random_matrix(1, 4, 68);
-  const nn::Matrix a = model.forward(x);
-  const nn::Matrix b = model.forward(x);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.flat()[i], b.flat()[i]);  // deterministic at inference
-  }
-}
-
 // ------------------------------------------------------------- quantization
 
 TEST(Quantize, ErrorBoundedByHalfScale) {
@@ -524,22 +384,7 @@ TEST(Quantize, ErrorBoundedByHalfScale) {
   float mx = 0.0f;
   for (float v : m.flat()) mx = std::max(mx, std::abs(v));
   const float scale = mx / 127.0f;
-  EXPECT_LE(nn::max_quantization_error(m, nn::QuantGranularity::kPerTensor),
-            scale * 0.5f + 1e-7f);
-}
-
-TEST(Quantize, PerChannelNeverWorseThanPerTensor) {
-  // Make channel magnitudes wildly different so per-channel scales win.
-  nn::Matrix m = random_matrix(8, 4, 41);
-  for (std::size_t r = 0; r < 8; ++r) {
-    m(r, 0) *= 100.0f;
-    m(r, 3) *= 0.01f;
-  }
-  const float e_tensor =
-      nn::max_quantization_error(m, nn::QuantGranularity::kPerTensor);
-  const float e_channel =
-      nn::max_quantization_error(m, nn::QuantGranularity::kPerChannel);
-  EXPECT_LE(e_channel, e_tensor);
+  EXPECT_LE(nn::max_quantization_error(m), scale * 0.5f + 1e-7f);
 }
 
 TEST(Quantize, ModelShrinksToRoughlyQuarterSize) {
@@ -547,15 +392,14 @@ TEST(Quantize, ModelShrinksToRoughlyQuarterSize) {
   nn::ClassifierSpec spec{8, 16, 4};
   nn::Sequential model = nn::build_mlp(spec, rng);
   const std::size_t fp32 = model.weight_bytes(4);
-  const std::size_t int8 =
-      nn::quantize_model_inplace(model, nn::QuantGranularity::kPerTensor);
+  const std::size_t int8 = nn::quantize_model_inplace(model);
   EXPECT_LT(int8, fp32 / 3);
   EXPECT_GT(int8, fp32 / 5);
 }
 
 TEST(Quantize, ZeroTensorSurvives) {
   nn::Matrix z(4, 4, 0.0f);
-  const auto q = nn::quantize_tensor(z, nn::QuantGranularity::kPerTensor);
+  const auto q = nn::quantize_tensor(z);
   const auto back = q.dequantize();
   for (float v : back.flat()) EXPECT_EQ(v, 0.0f);
 }
@@ -591,27 +435,18 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(nn::Sequential::load(ss), std::runtime_error);
 }
 
-TEST(SerializeNewLayers, GruAndDropoutRoundTrip) {
-  std::mt19937 rng(70);
-  nn::Sequential model;
-  model.add(std::make_unique<nn::Gru>(5, 6, rng))
-      .add(std::make_unique<nn::Dropout>(0.25f, 7))
-      .add(std::make_unique<nn::LastTimestep>())
-      .add(std::make_unique<nn::Dense>(6, 3, rng));
-  nn::set_training_mode(model, false);
-  nn::Matrix input(8, 5);
-  std::normal_distribution<float> d(0.0f, 1.0f);
-  for (auto& v : input.flat()) v = d(rng);
-  const nn::Matrix before = model.forward(input);
-
+TEST(Serialize, RejectsUnknownLayerKind) {
+  // A well-formed header naming a layer kind no builder makes (here the
+  // old "tanh" activation) fails loudly instead of loading a guess.
   std::stringstream ss;
-  model.save(ss);
-  nn::Sequential loaded = nn::Sequential::load(ss);
-  const nn::Matrix after = loaded.forward(input);
-  ASSERT_TRUE(before.same_shape(after));
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before.flat()[i], after.flat()[i]);
-  }
+  const auto put_u32 = [&](std::uint32_t v) {
+    ss.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put_u32(0x4146464Du);  // "AFFM"
+  put_u32(1);
+  put_u32(4);
+  ss << "tanh";
+  EXPECT_THROW(nn::Sequential::load(ss), std::runtime_error);
 }
 
 // --------------------------------------------------------- paper geometries

@@ -17,9 +17,9 @@
 #include <set>
 #include <vector>
 
-#include "conf/policy_fuzz.hpp"
 #include "fault/plan.hpp"
 #include "h264/testvideo.hpp"
+#include "policy_fuzz.hpp"
 #include "simulcast/encoder.hpp"
 #include "simulcast/policy.hpp"
 

@@ -54,8 +54,7 @@ TEST_P(ModelKindSweep, QuantizationShrinksAndPreservesOutputShape) {
   std::normal_distribution<float> d(0.0f, 1.0f);
   for (auto& v : input.flat()) v = d(rng);
   const nn::Matrix before = model.forward(input);
-  const std::size_t bytes =
-      nn::quantize_model_inplace(model, nn::QuantGranularity::kPerChannel);
+  const std::size_t bytes = nn::quantize_model_inplace(model);
   const nn::Matrix after = model.forward(input);
   ASSERT_TRUE(before.same_shape(after));
   EXPECT_LT(bytes, model.weight_bytes(4) / 3);
@@ -82,7 +81,7 @@ TEST_P(QpRoundTrip, QualityDegradesGracefullyWithQp) {
   const int qp = GetParam();
   h264::VideoConfig vc{64, 64, 6, 1.0, 0.5, 1.0, 9};
   const auto video = h264::generate_test_video(vc);
-  h264::EncoderConfig ec{64, 64, qp, 6, 1, 4, true, true, true};
+  h264::EncoderConfig ec{64, 64, qp, 6, 1, 4, true, true};
   h264::Encoder enc(ec);
   h264::Decoder dec;
   auto display = h264::assemble_display_sequence(
@@ -108,7 +107,7 @@ TEST_P(SelectorGrid, DeletionCountFollowsCeilFormula) {
   const auto [s_th, f] = GetParam();
   h264::VideoConfig vc{64, 64, 18, 1.2, 0.6, 2.5, 13};
   const auto video = h264::generate_mixed_video(vc, 0.4);
-  h264::EncoderConfig ec{64, 64, 24, 9, 2, 4, true, true, true};
+  h264::EncoderConfig ec{64, 64, 24, 9, 2, 4, true, true};
   h264::Encoder enc(ec);
   auto units = enc.parameter_sets();
   for (auto& pic : enc.encode(video)) units.push_back(std::move(pic.nal));
